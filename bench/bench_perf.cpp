@@ -251,7 +251,7 @@ void BM_AnonymizeJunosNetwork(benchmark::State& state) {
   std::size_t lines = 0;
   for (const auto& file : pre) lines += file.LineCount();
   for (auto _ : state) {
-    junos::JunosAnonymizerOptions options;
+    core::AnonymizerOptions options;
     options.salt = "perf-salt";
     junos::JunosAnonymizer anonymizer(std::move(options));
     benchmark::DoNotOptimize(anonymizer.AnonymizeNetwork(pre));

@@ -112,7 +112,7 @@ int main() {
   for (int i = 0; i < junos_count; ++i) {
     const auto pre =
         junos::WriteJunosNetworkConfigs(corpus[static_cast<std::size_t>(i)]);
-    junos::JunosAnonymizerOptions options;
+    core::AnonymizerOptions options;
     options.salt = "junos-val-" + std::to_string(i);
     junos::JunosAnonymizer anonymizer(std::move(options));
     const auto post = anonymizer.AnonymizeNetwork(pre);

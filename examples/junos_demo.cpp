@@ -32,7 +32,7 @@ int main() {
   core::Anonymizer ios_anonymizer(std::move(ios_options));
   const auto ios_post = ios_anonymizer.AnonymizeNetwork(ios);
 
-  junos::JunosAnonymizerOptions junos_options;
+  core::AnonymizerOptions junos_options;
   junos_options.salt = "portability-demo";
   junos::JunosAnonymizer junos_anonymizer(std::move(junos_options));
   std::stringstream mapping;

@@ -15,7 +15,7 @@
 #include "audit/refgraph.h"
 #include "obs/profiler.h"
 #include "pipeline/parallel_for.h"
-#include "pipeline/pipeline.h"
+#include "core/session.h"
 
 namespace confanon::audit {
 
@@ -32,7 +32,7 @@ Dialect ResolveDialect(const config::ConfigFile& file, DialectMode mode) {
     case DialectMode::kAuto:
       break;
   }
-  return pipeline::DetectDialect(file) == pipeline::FileDialect::kJunos
+  return core::DetectDialect(file) == core::ConfigDialect::kJunos
              ? Dialect::kJunos
              : Dialect::kIos;
 }

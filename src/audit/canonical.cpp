@@ -106,7 +106,7 @@ CanonToken ClassifyValueToken(std::string_view word,
 // IOS mirror
 // ---------------------------------------------------------------------------
 
-/// Working state for one IOS line, mirroring Anonymizer::LineCtx: the
+/// Working state for one IOS line, mirroring IosRules::LineCtx: the
 /// word list (possibly truncated by the free-text rules), the lowercase
 /// view the context rules match on, and the per-word classification
 /// standing in for the rewrite. A regexp rewrite collapses the tail into
@@ -517,7 +517,7 @@ void CanonicalizeJunos(const config::ConfigFile& file, CanonicalFile& out) {
       return tokens[word_at[w]].kind == junos::Token::Kind::kString;
     };
 
-    // Context scan, mirroring JunosAnonymizer::ProcessLine.
+    // Context scan, mirroring JunosRules::ProcessLine.
     for (std::size_t w = 0; w < word_at.size(); ++w) {
       const std::string keyword = util::ToLower(word(w));
       const bool has_next = w + 1 < word_at.size();

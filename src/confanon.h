@@ -1,8 +1,11 @@
 // Umbrella header for the confanon library.
 //
 // Pulls in the public API surface a downstream user needs:
-//   - core::Anonymizer / core::LeakDetector (Cisco IOS configs)
-//   - junos::JunosAnonymizer (JunOS configs)
+//   - core::Anonymizer (Cisco IOS configs) and junos::JunosAnonymizer
+//     (JunOS configs): the one engine, core::Engine, instantiated over
+//     each dialect's rule pack (core/engine.h)
+//   - core::LeakDetector, the post-anonymization leak grep
+//   - core::ServiceContext / core::Session, the service-shaped API
 //   - analysis::ValidateNetwork and the extraction/fingerprint tooling
 //   - the substrates (IP map, ASN permutation, regex rewriting) for
 //     programs that compose their own pipelines.
@@ -27,6 +30,7 @@
 #include "config/document.h"
 #include "config/tokenizer.h"
 #include "core/anonymizer.h"
+#include "core/engine.h"
 #include "core/leak_detector.h"
 #include "core/report.h"
 #include "core/session.h"

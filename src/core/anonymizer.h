@@ -25,82 +25,32 @@
 // full grammar — by design, since no consistent grammar exists across the
 // 200+ IOS versions the tool must survive (Section 3).
 //
-// All mapping state (hash memo, IP trie, ASN permutation) lives in a
-// core::NetworkState shared by every engine of one network: one state ==
-// one network. An Anonymizer constructed standalone owns a fresh state; a
-// pipeline constructs several engines over one shared state so files can
-// be anonymized in parallel (and across dialects) with full referential
+// This header is the IOS rule pack (IosRules); core::Anonymizer is the
+// one engine (core/engine.h) instantiated over it. All mapping state
+// (hash memo, IP trie, ASN permutation) lives in a core::NetworkState
+// shared by every engine of one network: one state == one network. An
+// Anonymizer constructed standalone owns a fresh state; a pipeline
+// constructs several engines over one shared state so files can be
+// anonymized in parallel (and across dialects) with full referential
 // integrity.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <ostream>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "asn/asn_map.h"
-#include "asn/community.h"
 #include "asn/regex_rewrite.h"
 #include "config/document.h"
 #include "config/tokenizer.h"
 #include "core/engine.h"
-#include "core/hash_batcher.h"
-#include "core/leak_detector.h"
-#include "core/network_state.h"
-#include "core/report.h"
-#include "core/string_hasher.h"
-#include "ipanon/ip_anonymizer.h"
-#include "net/prefix.h"
-#include "obs/hooks.h"
-#include "obs/metrics.h"
-#include "obs/provenance.h"
-#include "obs/trace.h"
+#include "core/options.h"
+#include "net/ipv4.h"
 #include "passlist/passlist.h"
 #include "util/arena.h"
 
 namespace confanon::core {
-
-struct AnonymizerOptions {
-  /// The network owner's secret; drives every mapping.
-  std::string salt = "default-salt";
-  /// How rewritten policy regexps are rendered.
-  asn::RewriteForm regex_form = asn::RewriteForm::kAlternation;
-  /// Strip comments/banners/description payloads. On by default; the
-  /// ablation benches turn it off to measure what leaks through.
-  bool strip_comments = true;
-  /// Rule names to disable, for the iterative-refinement experiment
-  /// (Section 6.1) where an initially incomplete rule set is grown until
-  /// the leak detector comes back clean.
-  std::set<std::string> disabled_rules;
-  /// The pass-list to consult; defaults to the embedded corpus. The
-  /// coverage ablation passes a Truncated() copy.
-  passlist::PassList pass_list = passlist::PassList::Builtin();
-  /// Additional entries merged on top of the dialect baseline. Unlike
-  /// `pass_list` (which *replaces* the IOS baseline and is ignored by the
-  /// JunOS engine), extras apply in every dialect — this is the field the
-  /// daemon's per-tenant pass-lists land in, and the one the static
-  /// policy verifier (src/verify) checks before a session may be created.
-  passlist::PassList extra_pass_list;
-
-  /// Known external entities (paper Section 5): "it might be well known
-  /// that all addresses used by AS number X have prefix Y ... If the
-  /// anonymizer is provided with the well known external information on
-  /// which the implicit relationship is based, it can be extended to
-  /// preserve these relationships as well." Each declared entity groups
-  /// public ASNs and prefixes that belong to one real-world organization;
-  /// the anonymizer emits the *anonymized* grouping (ExportKnownEntities)
-  /// so researchers can re-link the two mechanisms without learning who
-  /// the entity is.
-  struct KnownEntity {
-    std::string label;  // never emitted; operator-side bookkeeping only
-    std::vector<std::uint32_t> asns;
-    std::vector<net::Prefix> prefixes;
-  };
-  std::vector<KnownEntity> known_entities;
-};
 
 /// Stable rule names (also the keys in AnonymizationReport::rule_fires).
 /// See Section 4.2's accounting of the 28 rules.
@@ -140,95 +90,46 @@ inline constexpr char kPlainAddressArgs[] = "I6.plain-address-args";
 inline constexpr char kSubnetPreload[] = "I7.subnet-preload";
 }  // namespace rules
 
-class ServiceContext;
-class Session;
-
-class Anonymizer : public AnonymizerEngine {
- public:
-  /// Standalone engine owning a fresh NetworkState.
-  explicit Anonymizer(AnonymizerOptions options);
-  /// Engine over an existing (possibly shared) NetworkState. Used by the
-  /// parallel pipeline: each worker gets its own engine (own report, own
-  /// observability buffers) over the one shared state. Engines sharing
-  /// state do not sync the shared trie's counters into metrics — the
-  /// pipeline does that once, centrally, to avoid double counting.
-  Anonymizer(AnonymizerOptions options, std::shared_ptr<NetworkState> state);
-  /// Session-API form (see core/session.h): an engine over `session`'s
-  /// shared state with the context's engine options re-salted for the
-  /// session. Equivalent to what the context's kIos factory builds.
-  Anonymizer(const ServiceContext& context, const Session& session);
-
-  /// Anonymizes all files of one network consistently. Performs the
-  /// address-preload pass over the whole corpus first (rule I7), then
-  /// rewrites each file.
-  std::vector<config::ConfigFile> AnonymizeNetwork(
-      const std::vector<config::ConfigFile>& files) override;
-
-  /// Anonymizes a single file using (and extending) the shared state.
-  /// When no corpus-wide preload has happened yet (standalone streaming
-  /// use), this file's own addresses are preloaded first, so rule I7's
-  /// subnet-address guarantee holds file-locally.
-  config::ConfigFile AnonymizeFile(const config::ConfigFile& file) override;
-
-  /// Writes the anonymized groupings of the declared known entities, one
-  /// entity per line: "entity <n>: asns <a1> <a2> ... prefixes <p1> ...".
-  /// All values are post-anonymization; labels are never written. This is
-  /// the Section 5 extension: the implicit AS-X/prefix-Y relationship is
-  /// preserved as an explicit, still-anonymous grouping.
-  void ExportKnownEntities(std::ostream& out) override;
-
-  const AnonymizationReport& report() const override { return report_; }
-  const LeakRecord& leak_record() const override { return leak_record_; }
-
-  // --- observability (all optional, all non-owning) ---
-  //
-  // With no hooks installed the per-line hot path pays a single branch;
-  // the benches run in that mode.
-
-  /// Installs all observability hooks in one shot:
-  ///   * hooks.metrics — mirrors the report (per-rule fire counts,
-  ///     word/address totals), the IP trie's hit/miss/size stats, the
-  ///     arena's allocation counters ("arena.bytes", "arena.resets") and
-  ///     per-phase latency histograms ("core.line_ns", "core.file_ns",
-  ///     "core.tokenize_ns", "asn.rewrite_ns") into the registry, synced
-  ///     at file boundaries;
-  ///   * hooks.trace — emits Chrome-trace spans (network phase, one span
-  ///     per file, per-rule spans nested inside each file span);
-  ///   * hooks.provenance — records one ProvenanceEntry per (line, fired
-  ///     rule) with before/after word counts (Section 6.1 leak triage).
-  void install_hooks(const obs::Hooks& hooks) override;
-
-  /// Pushes any unreported report/trie deltas into the registry. Called
-  /// automatically at file boundaries; idempotent.
-  void SyncMetrics() override;
-
-  const std::shared_ptr<NetworkState>& state() const override {
-    return state_;
-  }
-
-  const asn::AsnMap& asn_map() const { return state_->asn_map; }
-  const asn::Uint16Permutation& community_values() const {
-    return state_->community_values;
-  }
-  ipanon::IpAnonymizer& ip_anonymizer() { return state_->ip; }
-  StringHasher& string_hasher() { return state_->hasher; }
-  const passlist::PassList& pass_list() const { return pass_list_; }
-
-  /// Collects every non-special IP address literal in `file` (the
-  /// operand of rule I7's preload). Exposed so the pipeline can run the
-  /// corpus-wide preload across dialects without an engine instance.
+/// The IOS rule pack driven by core::Engine (see core/engine.h).
+class IosRules : public EngineBase {
+  // The dialect's collectors and pass-list baseline; see
+  // DialectDescriptor. Every word is split on whitespace.
   static void CollectFileAddresses(const config::ConfigFile& file,
                                    std::vector<net::Ipv4Address>& out);
-
-  /// Collects every word in `file` the T1/T2 pass-list rules would hash
-  /// (some alphabetic segment missing from `pass_list`). Views alias
-  /// the file's lines. Over-approximates: a collected word that no rule
-  /// ends up hashing only costs an unused memo entry, so the pipeline
-  /// can prewarm the shared hasher in full 4-lane batches before the
-  /// workers start.
   static void CollectHashCandidates(const config::ConfigFile& file,
                                     const passlist::PassList& pass_list,
                                     std::vector<std::string_view>& out);
+  /// IOS consults options.pass_list (defaulting to the embedded corpus).
+  static passlist::PassList BasePassList(const AnonymizerOptions& options) {
+    return options.pass_list;
+  }
+
+ public:
+  static constexpr DialectDescriptor kDialect{
+      .metric_prefix = "",
+      .timing_prefix = "core.",
+      .network_span = "anonymize-network",
+      .preload_span = "preload.I7",
+      .preload_rule = rules::kSubnetPreload,
+      .rewrite_metrics = true,
+      .pass_list = &BasePassList,
+      .collect_addresses = &CollectFileAddresses,
+      .collect_hash_candidates = &CollectHashCandidates,
+  };
+
+ protected:
+  using Line = config::LineTokens;
+
+  IosRules(AnonymizerOptions options, std::shared_ptr<NetworkState> state);
+
+  /// Marks the file's banner regions (rule C3).
+  void BeginFile(const config::ConfigFile& file);
+  /// Processes one input line: comment rules, then the fused
+  /// single-dispatch word pass over the tokens. Returns the rewritten
+  /// tokens, or nullptr after emitting a comment line's '!' (or nothing,
+  /// for banner continuation lines).
+  Line* RewriteLine(const config::ConfigFile& file, std::size_t index,
+                    std::vector<std::string>& out_lines);
 
  private:
   /// Everything the five word passes need for one line, computed once.
@@ -245,9 +146,6 @@ class Anonymizer : public AnonymizerEngine {
     std::vector<std::string_view> lower;
     std::vector<bool> handled;
     util::Arena* arena = nullptr;
-    /// Words whose hash token is still pending in the batcher; when
-    /// nonzero at line end the line is deferred instead of rendered.
-    std::size_t pending_slots = 0;
 
     /// Repoints words[i] at `stable` — bytes the caller guarantees
     /// outlive the line (hasher memo entries, string literals).
@@ -275,38 +173,11 @@ class Anonymizer : public AnonymizerEngine {
     bool set_community, set_extcommunity, asn_audit;
     bool map_addresses, special_passthrough, map_prefixes;
     bool address_mask_pairs, address_wildcard_pairs, plain_address_args;
-    bool subnet_preload;
   };
-
-  /// Re-resolves the cached metric instrument pointers and pushes the
-  /// current hook set into the tracer/provenance members.
-  void ApplyHooks();
-
-  /// Processes one input line end-to-end: comment rules, then the fused
-  /// single-dispatch word pass over the tokens. Appends the anonymized
-  /// rendering to `out_lines` (or nothing, for banner continuation
-  /// lines).
-  void AnonymizeLine(const config::ConfigFile& file, std::size_t index,
-                     const std::vector<bool>& in_banner,
-                     const std::vector<bool>& banner_start,
-                     std::vector<std::string>& out_lines);
-  /// AnonymizeLine wrapped in timing + rule-fire attribution; accumulates
-  /// per-rule nanoseconds into `rule_ns` and feeds the provenance log.
-  void ObserveLine(const config::ConfigFile& file, std::size_t index,
-                   const std::vector<bool>& in_banner,
-                   const std::vector<bool>& banner_start,
-                   std::vector<std::string>& out_lines,
-                   std::map<std::string, std::uint64_t>& rule_ns);
-  /// Records a regexp rewrite's cost into the registry, if installed.
-  /// Memo-served results count toward "asn.rewrite_memo_hits" instead of
-  /// re-adding DFA states / rewrite latency.
-  void RecordRewrite(const asn::RewriteResult& result);
 
   /// Comment rules (C1). Returns false when the whole line collapses to
   /// a '!' comment.
-  bool ApplyCommentRules(const config::ConfigFile& file, std::size_t index,
-                         std::string_view line,
-                         const std::vector<bool>& in_banner);
+  bool ApplyCommentRules(std::string_view line);
   /// The five word passes fused into one dispatch: line-shaped rules
   /// (free text, ASN locations, misc) run off the shared lowercase view,
   /// then one loop applies the per-token IP and generic-hashing rules to
@@ -328,10 +199,6 @@ class Anonymizer : public AnonymizerEngine {
   /// which are never hashed before being read).
   void HashWord(LineCtx& ctx, std::size_t i);
 
-  /// Renders every deferred line whose pending words have all been
-  /// resolved by a flush, patching its placeholder in `out_lines`.
-  void DrainDeferred(std::vector<std::string>& out_lines);
-
   /// Public ASNs accepted by a policy regexp (for the A12 audit record).
   std::vector<std::uint32_t> AcceptedPublicAsns(
       std::string_view pattern) const;
@@ -339,52 +206,17 @@ class Anonymizer : public AnonymizerEngine {
   std::string MapAsnWord(std::string_view word);
   void RecordAsn(std::uint32_t asn);
 
-  AnonymizerOptions options_;
-  passlist::PassList pass_list_;
   EnabledRules enabled_;
-  /// Whether state_ was handed in (pipeline worker) rather than owned.
-  bool shared_state_ = false;
-  std::shared_ptr<NetworkState> state_;
-  AnonymizationReport report_;
-  LeakRecord leak_record_;
-
-  // Observability state. The histogram/counter pointers are resolved once
-  // in ApplyHooks so instrumented paths touch only atomics.
-  obs::Hooks hooks_;
-  obs::Tracer tracer_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::ProvenanceLog* provenance_ = nullptr;
-  obs::LatencyHistogram* line_hist_ = nullptr;
-  obs::LatencyHistogram* file_hist_ = nullptr;
-  obs::LatencyHistogram* tokenize_hist_ = nullptr;
-  obs::LatencyHistogram* rewrite_hist_ = nullptr;
-  obs::Counter* dfa_states_total_ = nullptr;
-  obs::Counter* rewrite_memo_hits_ = nullptr;
-  /// Last report/trie state already pushed to the registry (delta base).
-  AnonymizationReport synced_report_;
-  ipanon::IpAnonymizer::Stats synced_ip_;
-  std::uint64_t synced_arena_bytes_ = 0;
-  std::uint64_t synced_arena_resets_ = 0;
-
-  /// Per-file scratch for rewritten words; reset at file boundaries.
-  util::Arena arena_;
+  /// Banner regions of the current file (rule C3).
+  std::vector<bool> in_banner_;
+  std::vector<bool> banner_start_;
   /// Reused across lines so tokenize allocates nothing in steady state.
   LineCtx line_ctx_;
-
-  /// Lines waiting on pending hash tokens: the token vectors are moved
-  /// here (element addresses — the batcher's slots — survive the move)
-  /// and rendered into their reserved out_lines position once the
-  /// batcher's resolved sequence catches up. FIFO: flushes resolve
-  /// oldest words first, so lines complete in order.
-  struct DeferredLine {
-    config::LineTokens tokens;
-    std::size_t out_index;
-    std::uint64_t seq;
-  };
-  std::deque<DeferredLine> deferred_;
-  /// Cross-line batcher over the shared hasher (declared after state_;
-  /// construction order matters).
-  HashBatcher batcher_;
 };
+
+extern template class Engine<IosRules>;
+
+/// The IOS anonymizer: the one engine driven by the IOS rule pack.
+using Anonymizer = Engine<IosRules>;
 
 }  // namespace confanon::core

@@ -18,16 +18,7 @@ ConfigDialect DetectDialect(const config::ConfigFile& file) {
 }
 
 ServiceContext::ServiceContext(ServiceOptions options)
-    : options_(std::move(options)) {
-  // The IOS engine lives in this library, so its factory is always
-  // available; JunOS is registered by a layer that links it (the
-  // pipeline's MakeServiceContext, or the daemon).
-  factories_[static_cast<std::size_t>(ConfigDialect::kIos)] =
-      [](const AnonymizerOptions& engine_options,
-         std::shared_ptr<NetworkState> state) {
-        return std::make_unique<Anonymizer>(engine_options, std::move(state));
-      };
-}
+    : options_(std::move(options)) {}
 
 int ServiceContext::ResolveThreads(std::size_t items) const {
   int threads = options_.threads;
@@ -41,37 +32,11 @@ int ServiceContext::ResolveThreads(std::size_t items) const {
   return threads < 1 ? 1 : threads;
 }
 
-void ServiceContext::RegisterEngineFactory(ConfigDialect dialect,
-                                           EngineFactory factory) {
-  if (dialect == ConfigDialect::kAuto) {
-    throw std::invalid_argument("kAuto has no engine factory");
-  }
-  factories_[static_cast<std::size_t>(dialect)] = std::move(factory);
-}
-
-bool ServiceContext::HasEngineFactory(ConfigDialect dialect) const {
-  return factories_[static_cast<std::size_t>(dialect)] != nullptr;
-}
-
 AnonymizerOptions ServiceContext::EngineOptions(const Session& session) const {
   AnonymizerOptions engine_options = options_.base;
   engine_options.salt = session.salt();
   engine_options.extra_pass_list.Merge(session.extra_pass_list());
   return engine_options;
-}
-
-std::unique_ptr<AnonymizerEngine> ServiceContext::MakeEngine(
-    ConfigDialect dialect, const Session& session) const {
-  if (dialect == ConfigDialect::kAuto) {
-    throw std::invalid_argument(
-        "resolve kAuto to a concrete dialect before MakeEngine");
-  }
-  const EngineFactory& factory =
-      factories_[static_cast<std::size_t>(dialect)];
-  if (factory == nullptr) {
-    throw std::invalid_argument("no engine factory registered for dialect");
-  }
-  return factory(EngineOptions(session), session.state());
 }
 
 std::shared_ptr<Session> ServiceContext::CreateSession(

@@ -1,11 +1,11 @@
 // The service-shaped public API: process-lifetime context, per-tenant
 // session.
 //
-// Everything long-lived and tenant-independent — the pass-list automaton,
-// the dialect engine factories, the observability hooks, the worker
-// thread budget — lives in one immutable ServiceContext built once per
-// process. Everything salted — the word-hash memo, the prefix-preserving
-// IP trie, the ASN/community permutations, the regexp rewrite memo — is a
+// Everything long-lived and tenant-independent — the engine options and
+// pass-list, the observability hooks, the worker thread budget — lives
+// in one immutable ServiceContext built once per process. Everything
+// salted — the word-hash memo, the prefix-preserving IP trie, the
+// ASN/community permutations, the regexp rewrite memo — is a
 // core::NetworkState wrapped in a Session, created per tenant (or per
 // network in batch mode) and kept warm across requests.
 //
@@ -16,8 +16,8 @@
 // long they keep them alive.
 //
 // Concurrency contract:
-//   * ServiceContext is immutable after setup (RegisterEngineFactory and
-//     install_hooks are setup-time calls); any thread may read it.
+//   * ServiceContext is immutable after setup (install_hooks and
+//     SetPolicyVerdict are setup-time calls); any thread may read it.
 //   * Session::state() is the internally synchronized NetworkState (see
 //     network_state.h); MergeRequest/report() are mutex-guarded, so
 //     concurrent requests may merge their accounting freely.
@@ -29,23 +29,22 @@
 //     ordering.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "config/document.h"
-#include "core/anonymizer.h"
-#include "core/engine.h"
 #include "core/leak_detector.h"
 #include "core/network_state.h"
+#include "core/options.h"
 #include "core/report.h"
 #include "obs/hooks.h"
+#include "passlist/passlist.h"
 
 namespace confanon::core {
 
@@ -78,8 +77,9 @@ class PolicyError : public std::runtime_error {
   PolicyVerdict verdict_;
 };
 
-/// Which rule pack handles a config file. kAuto defers to the per-file
-/// brace-structure heuristic (DetectDialect).
+/// Which rule pack handles a config file (core::Anonymizer or
+/// junos::JunosAnonymizer). kAuto defers to the per-file brace-structure
+/// heuristic (DetectDialect).
 enum class ConfigDialect {
   kAuto,
   kIos,
@@ -120,9 +120,7 @@ struct DefenseSummary {
   double overhead = 0.0;
 };
 
-/// The one options struct consumed by ServiceContext. Consolidates the
-/// fields that used to be split (and partially duplicated) across
-/// pipeline::PipelineOptions and pipeline::NetworkSetOptions: engine
+/// The one options struct consumed by ServiceContext: engine
 /// configuration, thread budget, work batching, and dialect routing.
 struct ServiceOptions {
   /// Engine options (salt, regexp form, rule toggles, pass-list, known
@@ -151,20 +149,10 @@ class Session;
 
 /// Process-lifetime, tenant-independent half of the API. Immutable after
 /// setup; every session, pipeline, and daemon request reads the same
-/// context. Engine construction is routed through registered per-dialect
-/// factories so callers that only see core (no junos link) still drive
-/// mixed corpora once the factories are in place —
-/// pipeline::MakeServiceContext registers both built-in dialects.
+/// context. Engines are built per session from EngineOptions (see the
+/// Engine(context, session) constructor in core/engine.h).
 class ServiceContext {
  public:
-  /// Builds a dialect engine over a session's shared state. The options
-  /// are the context's engine options with the session's salt resolved.
-  using EngineFactory = std::function<std::unique_ptr<AnonymizerEngine>(
-      const AnonymizerOptions& options,
-      std::shared_ptr<NetworkState> state)>;
-
-  /// The IOS factory (core::Anonymizer) is registered by the
-  /// constructor; JunOS needs a registration from a layer that links it.
   explicit ServiceContext(ServiceOptions options);
 
   ServiceContext(const ServiceContext&) = delete;
@@ -178,17 +166,6 @@ class ServiceContext {
   /// Effective worker count for `items` units of work: <= 0 asks the
   /// hardware, more workers than items just idle.
   int ResolveThreads(std::size_t items) const;
-
-  /// Setup-time: replaces the factory for `dialect` (kAuto is invalid —
-  /// resolve it per file first).
-  void RegisterEngineFactory(ConfigDialect dialect, EngineFactory factory);
-  bool HasEngineFactory(ConfigDialect dialect) const;
-
-  /// Constructs a dialect engine over `session`'s state, with the
-  /// context's engine options re-salted for the session. Throws
-  /// std::invalid_argument for kAuto or an unregistered dialect.
-  std::unique_ptr<AnonymizerEngine> MakeEngine(ConfigDialect dialect,
-                                               const Session& session) const;
 
   /// The context engine options with `session`'s salt substituted.
   AnonymizerOptions EngineOptions(const Session& session) const;
@@ -217,7 +194,6 @@ class ServiceContext {
   ServiceOptions options_;
   obs::Hooks hooks_;
   PolicyVerdict policy_verdict_;
-  std::array<EngineFactory, 3> factories_;  // indexed by ConfigDialect
 };
 
 /// Per-tenant half of the API: one salted NetworkState plus the

@@ -1,11 +1,8 @@
 #include "junos/anonymizer.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "config/tokenizer.h"
-#include "core/session.h"
 #include "net/prefix.h"
 #include "net/special.h"
 #include "util/strings.h"
@@ -49,34 +46,8 @@ passlist::PassList JunosPassList() {
   return list;
 }
 
-JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options)
-    : JunosAnonymizer(std::move(options), nullptr) {}
-
-JunosAnonymizer::JunosAnonymizer(const core::ServiceContext& context,
-                                 const core::Session& session)
-    : JunosAnonymizer(
-          [&] {
-            core::AnonymizerOptions base = context.EngineOptions(session);
-            return JunosAnonymizerOptions{base.salt, base.regex_form,
-                                          base.strip_comments,
-                                          std::move(base.extra_pass_list)};
-          }(),
-          session.state()) {}
-
-JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options,
-                                 std::shared_ptr<core::NetworkState> state)
-    : options_(std::move(options)),
-      pass_list_(JunosPassList()),
-      shared_state_(state != nullptr),
-      state_(shared_state_
-                 ? std::move(state)
-                 : std::make_shared<core::NetworkState>(options_.salt)),
-      batcher_(state_->hasher) {
-  pass_list_.Merge(options_.extra_pass_list);
-}
-
-void JunosAnonymizer::CollectFileAddresses(const config::ConfigFile& file,
-                                           std::vector<net::Ipv4Address>& out) {
+void JunosRules::CollectFileAddresses(const config::ConfigFile& file,
+                                      std::vector<net::Ipv4Address>& out) {
   JunosLine line;
   for (const std::string_view raw : file.lines()) {
     TokenizeJunosLineInto(raw, line);
@@ -93,7 +64,7 @@ void JunosAnonymizer::CollectFileAddresses(const config::ConfigFile& file,
   }
 }
 
-void JunosAnonymizer::CollectHashCandidates(
+void JunosRules::CollectHashCandidates(
     const config::ConfigFile& file, const passlist::PassList& pass_list,
     std::vector<std::string_view>& out) {
   JunosLine line;
@@ -116,105 +87,10 @@ void JunosAnonymizer::CollectHashCandidates(
   }
 }
 
-std::vector<config::ConfigFile> JunosAnonymizer::AnonymizeNetwork(
-    const std::vector<config::ConfigFile>& files) {
-  obs::ScopedTimer network_span(&tracer_, "junos-anonymize-network");
-  network_span.AddArg("files", static_cast<std::int64_t>(files.size()));
-  network_span.AddArg("phase", "anonymize");
-  if (!state_->preloaded.load(std::memory_order_acquire)) {
-    obs::ScopedTimer preload_span(&tracer_, "junos-preload");
-    preload_span.AddArg("phase", "preload");
-    std::vector<net::Ipv4Address> addresses;
-    for (const config::ConfigFile& file : files) {
-      CollectFileAddresses(file, addresses);
-    }
-    state_->ip.Preload(std::move(addresses));
-    state_->preloaded.store(true, std::memory_order_release);
-  }
-  std::vector<config::ConfigFile> out;
-  out.reserve(files.size());
-  for (const config::ConfigFile& file : files) {
-    out.push_back(AnonymizeFile(file));
-  }
-  SyncMetrics();
-  return out;
-}
-
-config::ConfigFile JunosAnonymizer::AnonymizeFile(
-    const config::ConfigFile& file) {
-  // Standalone streaming use (no corpus-wide pass ran): preload this
-  // file's own addresses so the subnet-address guarantee holds at least
-  // file-locally. Within AnonymizeNetwork or the pipeline the corpus
-  // preload already ran and this is skipped.
-  if (!state_->preloaded.load(std::memory_order_acquire)) {
-    std::vector<net::Ipv4Address> addresses;
-    CollectFileAddresses(file, addresses);
-    state_->ip.Preload(std::move(addresses));
-  }
-
-  std::vector<std::string> out_lines;
-  out_lines.reserve(file.lines().size());
-  in_block_comment_ = false;
-
-  const bool observing =
-      tracer_.enabled() || provenance_ != nullptr || metrics_ != nullptr;
-  const std::int64_t file_start_us = tracer_.enabled() ? tracer_.NowUs() : 0;
-  const auto file_start = std::chrono::steady_clock::now();
-  std::map<std::string, std::uint64_t> rule_ns;
-
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    if (observing) {
-      ObserveLine(file.name(), index, file.lines()[index], out_lines,
-                  rule_ns);
-    } else {
-      AnonymizeLine(file.lines()[index], out_lines);
-    }
-  }
-  // Resolve the remaining partial hash batch (dummy-padded lanes) and
-  // render the lines waiting on it — pending words and deferred token
-  // views are arena-backed, so this must precede the reset.
-  batcher_.FlushAll();
-  DrainDeferred(out_lines);
-  // Every line has been rendered into an owned output string; no
-  // arena-backed view survives past this point.
-  arena_.Reset();
-
-  if (observing) {
-    const std::int64_t file_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - file_start)
-            .count();
-    if (file_hist_ != nullptr) {
-      file_hist_->Record(static_cast<std::uint64_t>(file_ns));
-    }
-    if (tracer_.enabled()) {
-      const std::int64_t file_end_us =
-          file_start_us + std::max<std::int64_t>(file_ns / 1000, 1);
-      std::int64_t cursor = file_start_us;
-      for (const auto& [rule, ns] : rule_ns) {
-        std::int64_t duration = std::max<std::int64_t>(
-            static_cast<std::int64_t>(ns) / 1000, 1);
-        duration = std::min(duration,
-                            std::max<std::int64_t>(file_end_us - cursor, 1));
-        tracer_.Complete("rule:" + rule, cursor, duration, "anonymize");
-        cursor = std::min(cursor + duration, file_end_us - 1);
-      }
-      tracer_.Complete("file:" + file.name(), file_start_us,
-                       file_end_us - file_start_us, "anonymize");
-    }
-    SyncMetrics();
-  }
-
-  std::string out_name = file.name();
-  if (!out_name.empty() && !pass_list_.Contains(out_name)) {
-    out_name = state_->hasher.Hash(out_name);
-  }
-  return config::ConfigFile(out_name, std::move(out_lines));
-}
-
-void JunosAnonymizer::AnonymizeLine(std::string_view raw,
-                                    std::vector<std::string>& out_lines) {
-  ++report_.total_lines;
+JunosRules::Line* JunosRules::RewriteLine(const config::ConfigFile& file,
+                                          std::size_t index,
+                                          std::vector<std::string>& out_lines) {
+  const std::string_view raw = file.lines()[index];
 
   // '/* ... */' block comments (possibly multi-line): stripped whole.
   std::string_view text = raw;
@@ -229,161 +105,19 @@ void JunosAnonymizer::AnonymizeLine(std::string_view raw,
       report_.CountRule("J.strip-block-comment");
       in_block_comment_ = close == std::string_view::npos;
       out_lines.push_back("/* */");
-      return;
+      return nullptr;
     }
   }
 
   JunosLine& line = line_buf_;
-  if (tokenize_hist_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    TokenizeJunosLineInto(raw, line);
-    tokenize_hist_->Record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  } else {
-    TokenizeJunosLineInto(raw, line);
-  }
+  TimedTokenize([&] { TokenizeJunosLineInto(raw, line); });
   report_.total_words += WordCount(line);
-  line_pending_ = 0;
   ProcessLine(line);
-  if (line_pending_ == 0) {
-    out_lines.push_back(line.Render());
-  } else {
-    // Hash tokens still pending in the batcher: park the line (the token
-    // vector move keeps the registered slot addresses stable) and
-    // reserve its output position.
-    deferred_.push_back(DeferredJunosLine{std::move(line), out_lines.size(),
-                                          batcher_.enqueued_seq()});
-    out_lines.emplace_back();
-  }
-  // Same flush policy as the core engine: eager full batches, everything
-  // per line when a provenance log needs the rendered output at once.
-  if (provenance_ != nullptr) {
-    batcher_.FlushAll();
-  } else {
-    batcher_.FlushFull();
-  }
-  DrainDeferred(out_lines);
+  return &line;
 }
 
-void JunosAnonymizer::DrainDeferred(std::vector<std::string>& out_lines) {
-  while (!deferred_.empty() &&
-         deferred_.front().seq <= batcher_.resolved_seq()) {
-    DeferredJunosLine& entry = deferred_.front();
-    out_lines[entry.out_index] = entry.line.Render();
-    deferred_.pop_front();
-  }
-}
-
-void JunosAnonymizer::ObserveLine(const std::string& file_name,
-                                  std::size_t index, std::string_view raw,
-                                  std::vector<std::string>& out_lines,
-                                  std::map<std::string, std::uint64_t>& rule_ns) {
-  const std::uint64_t words_before = report_.total_words;
-  const std::size_t out_count = out_lines.size();
-  const std::map<std::string, std::uint64_t> fires_before = report_.rule_fires;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  AnonymizeLine(raw, out_lines);
-
-  const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  if (line_hist_ != nullptr) line_hist_->Record(elapsed_ns);
-
-  const auto tokens_before =
-      static_cast<std::uint32_t>(report_.total_words - words_before);
-  const auto tokens_after = static_cast<std::uint32_t>(
-      out_lines.size() > out_count ? util::SplitWords(out_lines.back()).size()
-                                   : 0);
-
-  std::vector<const std::string*> fired;
-  for (const auto& [name, count] : report_.rule_fires) {
-    const auto before = fires_before.find(name);
-    if (before == fires_before.end() || before->second != count) {
-      fired.push_back(&name);
-    }
-  }
-  if (fired.empty()) return;
-  const std::uint64_t share = elapsed_ns / fired.size();
-  for (const std::string* rule : fired) {
-    if (tracer_.enabled()) rule_ns[*rule] += share;
-    if (provenance_ != nullptr) {
-      provenance_->Record(obs::ProvenanceEntry{
-          file_name, static_cast<std::uint64_t>(index), *rule, tokens_before,
-          tokens_after});
-    }
-  }
-}
-
-void JunosAnonymizer::install_hooks(const obs::Hooks& hooks) {
-  hooks_ = hooks;
-  ApplyHooks();
-}
-
-void JunosAnonymizer::ApplyHooks() {
-  tracer_.set_sink(hooks_.trace);
-  provenance_ = hooks_.provenance;
-  metrics_ = hooks_.metrics;
-  line_hist_ = metrics_ != nullptr
-                   ? &metrics_->HistogramNamed("junos.line_ns")
-                   : nullptr;
-  file_hist_ = metrics_ != nullptr
-                   ? &metrics_->HistogramNamed("junos.file_ns")
-                   : nullptr;
-  tokenize_hist_ = metrics_ != nullptr
-                       ? &metrics_->HistogramNamed("junos.tokenize_ns")
-                       : nullptr;
-  // The word-hash batch instruments are unprefixed ("hash.*"): the hasher
-  // is dialect-agnostic shared state, so both engines feed the same
-  // instruments.
-  if (metrics_ != nullptr) {
-    batcher_.set_metrics(&metrics_->HistogramNamed("hash.batch_ns"),
-                         &metrics_->CounterNamed("hash.batched_words"),
-                         &metrics_->CounterNamed("hash.batch_flushes"),
-                         &metrics_->HistogramNamed("hash.lane_fill"));
-  } else {
-    batcher_.set_metrics(nullptr, nullptr, nullptr, nullptr);
-  }
-}
-
-void JunosAnonymizer::ExportKnownEntities(std::ostream& out) { (void)out; }
-
-void JunosAnonymizer::SyncMetrics() {
-  if (metrics_ == nullptr) return;
-  core::SyncReportDeltas(report_, synced_report_, *metrics_, "junos.");
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      metrics_->CounterNamed(name).Add(current - base);
-      base = current;
-    }
-  };
-  // The arena is engine-local (one per worker), so its counters sync
-  // here even under a shared NetworkState.
-  sync("junos.arena.bytes", arena_.bytes_allocated(), synced_arena_bytes_);
-  sync("junos.arena.resets", arena_.resets(), synced_arena_resets_);
-  if (shared_state_) {
-    // The trie belongs to the pipeline's shared NetworkState; per-worker
-    // delta syncs would double count, so the pipeline syncs centrally.
-    return;
-  }
-  const ipanon::IpAnonymizer::Stats ip_stats = state_->ip.stats();
-  sync("junos.ipanon.cache_hits", ip_stats.cache_hits, synced_ip_.cache_hits);
-  sync("junos.ipanon.cache_misses", ip_stats.cache_misses,
-       synced_ip_.cache_misses);
-  sync("junos.ipanon.collision_walks", ip_stats.collision_walks,
-       synced_ip_.collision_walks);
-  sync("junos.ipanon.preloaded_addresses", ip_stats.preloaded,
-       synced_ip_.preloaded);
-  metrics_->GaugeNamed("junos.ipanon.trie_nodes")
-      .Set(static_cast<std::int64_t>(state_->ip.NodeCount()));
-}
-
-void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
-                                const char* rule) {
+void JunosRules::ForceHash(JunosLine& line, std::size_t index,
+                           const char* rule) {
   if (index >= line.tokens.size()) return;
   Token& token = line.tokens[index];
   const std::string_view original = Unquote(token.text);
@@ -398,18 +132,15 @@ void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
   report_.CountRule(rule);
 }
 
-void JunosAnonymizer::HashToken(Token& token) {
+void JunosRules::HashToken(Token& token) {
   const bool quoted = token.kind == Token::Kind::kString;
   const std::string_view original = Unquote(token.text);
-  if (const std::string* hashed =
-          batcher_.Lookup(original, arena_, &token.text, quoted)) {
+  if (const std::string* hashed = LookupHash(original, &token.text, quoted)) {
     token.text = quoted ? Quote(*hashed, arena_) : std::string_view(*hashed);
-  } else {
-    ++line_pending_;
   }
 }
 
-std::string JunosAnonymizer::MapAsnText(std::string_view text) {
+std::string JunosRules::MapAsnText(std::string_view text) {
   std::uint64_t asn = 0;
   if (!util::ParseUint(text, asn::kMaxAsn, asn)) return std::string(text);
   if (asn::IsPublicAsn(static_cast<std::uint32_t>(asn))) {
@@ -421,7 +152,7 @@ std::string JunosAnonymizer::MapAsnText(std::string_view text) {
   return std::to_string(mapped);
 }
 
-void JunosAnonymizer::ProcessLine(JunosLine& line) {
+void JunosRules::ProcessLine(JunosLine& line) {
   auto& tokens = line.tokens;
   if (tokens.empty()) return;
 
@@ -628,3 +359,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
 }
 
 }  // namespace confanon::junos
+
+namespace confanon::core {
+template class Engine<junos::JunosRules>;
+}  // namespace confanon::core

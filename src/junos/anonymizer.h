@@ -20,178 +20,98 @@
 //   * addresses appear in CIDR form ("address 1.2.3.4/30;"), mapped by
 //     the shared trie.
 //
-// JunosAnonymizer implements core::AnonymizerEngine over a
-// core::NetworkState: construct it with the SAME state (or just the same
-// salt) as an IOS engine and the mappings agree (tested) — which is how
-// the pipeline routes a mixed IOS/JunOS corpus through one consistent
-// mapping.
+// JunosRules is that rule pack; JunosAnonymizer is the one engine
+// (core/engine.h) instantiated over it. Construct it with the SAME
+// core::NetworkState (or just the same salt) as an IOS engine and the
+// mappings agree (tested) — which is how the pipeline routes a mixed
+// IOS/JunOS corpus through one consistent mapping.
 #pragma once
 
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <memory>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "asn/asn_map.h"
-#include "asn/community.h"
-#include "asn/regex_rewrite.h"
 #include "config/document.h"
 #include "core/engine.h"
-#include "core/hash_batcher.h"
-#include "core/leak_detector.h"
-#include "core/network_state.h"
-#include "core/report.h"
-#include "core/string_hasher.h"
-#include "ipanon/ip_anonymizer.h"
+#include "core/options.h"
 #include "junos/tokenizer.h"
-#include "obs/hooks.h"
-#include "obs/metrics.h"
-#include "obs/provenance.h"
-#include "obs/trace.h"
+#include "net/ipv4.h"
 #include "passlist/passlist.h"
-#include "util/arena.h"
-
-namespace confanon::core {
-class ServiceContext;
-class Session;
-}  // namespace confanon::core
 
 namespace confanon::junos {
 
 /// The embedded IOS corpus extended with JunOS keywords.
 passlist::PassList JunosPassList();
 
-struct JunosAnonymizerOptions {
-  std::string salt = "default-salt";
-  asn::RewriteForm regex_form = asn::RewriteForm::kAlternation;
-  bool strip_comments = true;
-  /// Additional entries merged on top of JunosPassList() — the JunOS leg
-  /// of core::AnonymizerOptions::extra_pass_list (tenant pass-lists).
-  passlist::PassList extra_pass_list;
-};
-
-class JunosAnonymizer : public core::AnonymizerEngine {
- public:
-  /// Standalone engine owning a fresh NetworkState.
-  explicit JunosAnonymizer(JunosAnonymizerOptions options);
-  /// Engine over an existing (possibly shared) NetworkState — the mixed-
-  /// dialect / pipeline-worker form; see core::Anonymizer's counterpart.
-  JunosAnonymizer(JunosAnonymizerOptions options,
-                  std::shared_ptr<core::NetworkState> state);
-  /// Session-API form (see core/session.h): an engine over `session`'s
-  /// shared state, taking the JunOS-applicable subset of the context's
-  /// engine options with the session's salt. Equivalent to what the
-  /// context's kJunos factory (pipeline::MakeServiceContext) builds.
-  JunosAnonymizer(const core::ServiceContext& context,
-                  const core::Session& session);
-
-  std::vector<config::ConfigFile> AnonymizeNetwork(
-      const std::vector<config::ConfigFile>& files) override;
-  /// Anonymizes a single file. When no corpus-wide preload has happened
-  /// yet, this file's own addresses are preloaded first (the file-local
-  /// form of the IOS rule I7 guarantee).
-  config::ConfigFile AnonymizeFile(const config::ConfigFile& file) override;
-
-  /// JunOS options declare no known entities; writes nothing.
-  void ExportKnownEntities(std::ostream& out) override;
-
-  const core::AnonymizationReport& report() const override { return report_; }
-  const core::LeakRecord& leak_record() const override { return leak_record_; }
-  const asn::AsnMap& asn_map() const { return state_->asn_map; }
-  ipanon::IpAnonymizer& ip_anonymizer() { return state_->ip; }
-  core::StringHasher& string_hasher() { return state_->hasher; }
-
-  const std::shared_ptr<core::NetworkState>& state() const override {
-    return state_;
-  }
-
-  /// Collects every non-special IP address literal in `file` under JunOS
-  /// tokenization (for the corpus-wide preload pass).
+/// The JunOS rule pack driven by core::Engine (see core/engine.h). It
+/// reads the JunOS-applicable subset of core::AnonymizerOptions: salt,
+/// regex_form, strip_comments and extra_pass_list (merged on top of
+/// JunosPassList()); it has no rule toggles. Rule counters carry
+/// globally unique "J." names, which land under "junos.rule.J.*" in a
+/// metrics registry; every other metric carries the "junos." prefix too,
+/// so a mixed IOS/JunOS run shares one registry without collisions.
+class JunosRules : public core::EngineBase {
+  // The dialect's collectors and pass-list baseline; see
+  // core::DialectDescriptor. Tokens come from the JunOS tokenizer, and
+  // hash candidates include the contents of quoted strings.
   static void CollectFileAddresses(const config::ConfigFile& file,
                                    std::vector<net::Ipv4Address>& out);
-
-  /// JunOS counterpart of core::Anonymizer::CollectHashCandidates:
-  /// unquoted word/string tokens whose segments fail `pass_list`. Views
-  /// alias the file's lines; over-approximation is harmless (see core).
   static void CollectHashCandidates(const config::ConfigFile& file,
                                     const passlist::PassList& pass_list,
                                     std::vector<std::string_view>& out);
+  static passlist::PassList BasePassList(const core::AnonymizerOptions&) {
+    return JunosPassList();
+  }
 
-  // --- observability (optional, non-owning; see core::Anonymizer) ---
-  // Metric names carry a "junos." prefix so a mixed IOS/JunOS run can
-  // share one registry without colliding ("junos.report.*",
-  // "junos.line_ns"); rule counters keep their globally unique "J." names
-  // under "junos.rule.J.*".
+ public:
+  static constexpr core::DialectDescriptor kDialect{
+      .metric_prefix = "junos.",
+      .timing_prefix = "junos.",
+      .network_span = "junos-anonymize-network",
+      .preload_span = "junos-preload",
+      .preload_rule = nullptr,
+      .rewrite_metrics = false,
+      .pass_list = &BasePassList,
+      .collect_addresses = &CollectFileAddresses,
+      .collect_hash_candidates = &CollectHashCandidates,
+  };
 
-  /// Installs all observability hooks in one shot.
-  void install_hooks(const obs::Hooks& hooks) override;
-  void SyncMetrics() override;
+ protected:
+  using Line = JunosLine;
+
+  JunosRules(core::AnonymizerOptions options,
+             std::shared_ptr<core::NetworkState> state)
+      : EngineBase(kDialect, std::move(options), std::move(state)) {}
+
+  void BeginFile(const config::ConfigFile&) { in_block_comment_ = false; }
+  /// One raw input line: block-comment handling, tokenization, rule
+  /// pack. Returns the rewritten line, or nullptr after emitting a
+  /// comment placeholder.
+  Line* RewriteLine(const config::ConfigFile& file, std::size_t index,
+                    std::vector<std::string>& out_lines);
 
  private:
-  void ApplyHooks();
   void ProcessLine(JunosLine& line);
-  /// One raw input line end-to-end: block-comment handling, tokenization,
-  /// rule pack, rendering.
-  void AnonymizeLine(std::string_view raw,
-                     std::vector<std::string>& out_lines);
-  /// AnonymizeLine under timing + rule attribution (see core::Anonymizer).
-  void ObserveLine(const std::string& file_name, std::size_t index,
-                   std::string_view raw, std::vector<std::string>& out_lines,
-                   std::map<std::string, std::uint64_t>& rule_ns);
   /// Force-hashes the word token at `index` (records it when unknown).
   void ForceHash(JunosLine& line, std::size_t index, const char* rule);
   /// Replaces `token` with its hash token (quoted for kString tokens):
   /// memo hits rewrite in place, misses register the token's text slot
-  /// with the batcher and bump line_pending_ so the line is deferred.
+  /// with the batcher and defer the line.
   void HashToken(Token& token);
-  /// Renders every deferred line whose pending hash tokens have been
-  /// resolved, patching its placeholder in `out_lines`.
-  void DrainDeferred(std::vector<std::string>& out_lines);
   std::string MapAsnText(std::string_view text);
 
-  JunosAnonymizerOptions options_;
-  passlist::PassList pass_list_;
-  /// Whether state_ was handed in (pipeline worker / mixed-dialect run)
-  /// rather than owned; shared trie counters are then synced centrally.
-  bool shared_state_ = false;
-  std::shared_ptr<core::NetworkState> state_;
-  core::AnonymizationReport report_;
-  core::LeakRecord leak_record_;
   bool in_block_comment_ = false;
-
-  obs::Hooks hooks_;
-  obs::Tracer tracer_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::ProvenanceLog* provenance_ = nullptr;
-  obs::LatencyHistogram* line_hist_ = nullptr;
-  obs::LatencyHistogram* file_hist_ = nullptr;
-  obs::LatencyHistogram* tokenize_hist_ = nullptr;
-  core::AnonymizationReport synced_report_;
-  ipanon::IpAnonymizer::Stats synced_ip_;
-  std::uint64_t synced_arena_bytes_ = 0;
-  std::uint64_t synced_arena_resets_ = 0;
-
-  /// Per-file scratch for rewritten/quoted token text; reset at file
-  /// boundaries, after the file's lines have been rendered.
-  util::Arena arena_;
   /// Reused across lines so tokenize allocates nothing in steady state.
   JunosLine line_buf_;
-
-  /// Hash tokens of the current line still pending in the batcher.
-  std::size_t line_pending_ = 0;
-  /// Lines parked until the batcher resolves their tokens; see the core
-  /// engine's DeferredLine (vector move keeps slot addresses stable).
-  struct DeferredJunosLine {
-    JunosLine line;
-    std::size_t out_index;
-    std::uint64_t seq;
-  };
-  std::deque<DeferredJunosLine> deferred_;
-  /// Cross-line batcher over the shared hasher (declared after state_;
-  /// construction order matters).
-  core::HashBatcher batcher_;
 };
 
+/// The JunOS anonymizer: the one engine driven by the JunOS rule pack.
+using JunosAnonymizer = core::Engine<JunosRules>;
+
 }  // namespace confanon::junos
+
+namespace confanon::core {
+extern template class Engine<junos::JunosRules>;
+}  // namespace confanon::core

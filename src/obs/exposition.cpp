@@ -228,7 +228,13 @@ bool ExpositionServer::Start(std::string* error) {
 
 void ExpositionServer::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Published under the queue mutex: a handler between its predicate
+    // check and parking on pending_cv_ holds the mutex, so it either sees
+    // the flag or is already waiting when notify_all below fires.
+    const std::lock_guard<std::mutex> lock(pending_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   // The accept loop polls with a timeout, so it observes stopping_ even
   // if no connection ever arrives; shutdown() additionally wakes a poll
   // that is already parked on the fd.

@@ -9,32 +9,44 @@
 #include "core/hash_batcher.h"
 #include "obs/profiler.h"
 #include "obs/provenance.h"
-#include "passlist/passlist.h"
 #include "pipeline/parallel_for.h"
-#include "util/strings.h"
 #include "verify/verify.h"
 
 namespace confanon::pipeline {
 
 namespace {
 
-/// One worker's engines: an IOS and a JunOS anonymizer (built by the
-/// context's dialect factories) over the shared session state. Each
-/// worker owns its pair so reports, leak records and per-line
-/// observability buffers are single-writer; only the state is shared
-/// (and internally synchronized).
+/// The rule pack's descriptor for a resolved (non-kAuto) dialect.
+constexpr const core::DialectDescriptor& Dialect(core::ConfigDialect dialect) {
+  if (dialect == core::ConfigDialect::kJunos) {
+    return junos::JunosAnonymizer::kDialect;
+  }
+  return core::Anonymizer::kDialect;
+}
+
+/// One worker's engines: an IOS and a JunOS anonymizer over the shared
+/// session state. Each worker owns its pair so reports, leak records and
+/// per-line observability buffers are single-writer; only the state is
+/// shared (and internally synchronized).
 struct EngineWorker {
   EngineWorker(const core::ServiceContext& context,
                const core::Session& session)
-      : ios(context.MakeEngine(core::ConfigDialect::kIos, session)),
-        junos(context.MakeEngine(core::ConfigDialect::kJunos, session)) {}
+      : ios(context, session), junos(context, session) {}
 
-  core::AnonymizerEngine& ForDialect(FileDialect dialect) {
-    return dialect == FileDialect::kJunos ? *junos : *ios;
+  core::EngineBase& For(core::ConfigDialect dialect) {
+    if (dialect == core::ConfigDialect::kJunos) return junos;
+    return ios;
+  }
+  config::ConfigFile AnonymizeFile(core::ConfigDialect dialect,
+                                   const config::ConfigFile& file) {
+    if (dialect == core::ConfigDialect::kJunos) {
+      return junos.AnonymizeFile(file);
+    }
+    return ios.AnonymizeFile(file);
   }
 
-  std::unique_ptr<core::AnonymizerEngine> ios;
-  std::unique_ptr<core::AnonymizerEngine> junos;
+  core::Anonymizer ios;
+  junos::JunosAnonymizer junos;
 };
 
 }  // namespace
@@ -42,19 +54,6 @@ struct EngineWorker {
 std::shared_ptr<core::ServiceContext> MakeServiceContext(
     core::ServiceOptions options) {
   auto context = std::make_shared<core::ServiceContext>(std::move(options));
-  // core registered the IOS factory; the JunOS engine links against core,
-  // so its factory is registered here — the lowest layer that sees it.
-  context->RegisterEngineFactory(
-      core::ConfigDialect::kJunos,
-      [](const core::AnonymizerOptions& engine_options,
-         std::shared_ptr<core::NetworkState> state) {
-        return std::make_unique<junos::JunosAnonymizer>(
-            junos::JunosAnonymizerOptions{engine_options.salt,
-                                          engine_options.regex_form,
-                                          engine_options.strip_comments,
-                                          engine_options.extra_pass_list},
-            std::move(state));
-      });
   // Static policy verification (src/verify) happens here — the lowest
   // layer that links both dialect engines and thus can model the full
   // cross-dialect policy. The verdict makes CreateSession throw
@@ -69,74 +68,60 @@ std::shared_ptr<core::ServiceContext> MakeServiceContext(
 CorpusPipeline::CorpusPipeline(
     std::shared_ptr<const core::ServiceContext> context,
     std::shared_ptr<core::Session> session)
-    : context_(std::move(context)),
-      session_(std::move(session)),
-      per_call_preload_(true) {
+    : context_(std::move(context)), session_(std::move(session)) {
   install_hooks(context_->hooks());
 }
-
-CorpusPipeline::CorpusPipeline(PipelineOptions options)
-    : context_(MakeServiceContext(std::move(options))),
-      session_(context_->CreateSession()),
-      per_call_preload_(false) {}
 
 int CorpusPipeline::ResolveThreads(std::size_t file_count) const {
   return context_->ResolveThreads(file_count);
 }
 
-FileDialect CorpusPipeline::ResolveDialect(
+core::ConfigDialect CorpusPipeline::ResolveDialect(
     const config::ConfigFile& file) const {
-  const FileDialect dialect = context_->options().dialect;
-  return dialect == FileDialect::kAuto ? core::DetectDialect(file) : dialect;
+  const core::ConfigDialect dialect = context_->options().dialect;
+  return dialect == core::ConfigDialect::kAuto ? core::DetectDialect(file)
+                                               : dialect;
 }
 
 void CorpusPipeline::PreloadCorpus(
     const std::vector<config::ConfigFile>& files,
-    const std::vector<FileDialect>& dialects) {
+    const std::vector<core::ConfigDialect>& dialects) {
+  // Every call preloads its own corpus — Preload is idempotent per
+  // address, and a per-request preload is exactly what the standalone
+  // streaming AnonymizeFile path does, which keeps request streams
+  // byte-identical to it.
   core::NetworkState& state = *session_->state();
-  // Options form: one preload per session (the sequential engine's
-  // corpus-pass semantics). Session form: every call preloads its own
-  // corpus — Preload is idempotent per address, and a per-request
-  // preload is exactly what the standalone streaming AnonymizeFile path
-  // does, which keeps request streams byte-identical to it.
-  if (!per_call_preload_ &&
-      state.preloaded.load(std::memory_order_acquire)) {
-    return;
-  }
-  const bool i7_enabled = !context_->options().base.disabled_rules.contains(
-      core::rules::kSubnetPreload);
-
-  // JunOS files always contribute (the JunOS engine preloads
-  // unconditionally — its rule pack has no toggles); IOS files
-  // contribute under rule I7, with the sequential engine's accounting.
-  std::vector<net::Ipv4Address> addresses;
-  std::size_t ios_count = 0;
-  bool any_ios = false;
+  core::SubnetPreload preload(context_->options().base);
   for (std::size_t i = 0; i < files.size(); ++i) {
-    if (dialects[i] == FileDialect::kJunos) {
-      junos::JunosAnonymizer::CollectFileAddresses(files[i], addresses);
-    } else if (i7_enabled) {
-      any_ios = true;
-      const std::size_t before = addresses.size();
-      core::Anonymizer::CollectFileAddresses(files[i], addresses);
-      ios_count += addresses.size() - before;
-    }
+    preload.Add(Dialect(dialects[i]), files[i]);
   }
-  if (i7_enabled && any_ios) {
-    report_.CountRule(core::rules::kSubnetPreload, ios_count);
-    if (hooks_.metrics != nullptr) {
-      hooks_.metrics
-          ->CounterNamed(std::string("rule.") + core::rules::kSubnetPreload)
-          .Add(ios_count);
-    }
+  // The workers' report deltas never see the preload, so its rule count
+  // lands in the registry here, under the sequential engine's name.
+  if (const auto counted = preload.Commit(state, report_);
+      counted && hooks_.metrics != nullptr) {
+    hooks_.metrics
+        ->CounterNamed(std::string("rule.") + core::rules::kSubnetPreload)
+        .Add(*counted);
   }
-  state.ip.Preload(std::move(addresses));
   state.preloaded.store(true, std::memory_order_release);
 }
 
 std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     const std::vector<config::ConfigFile>& files) {
-  std::vector<FileDialect> dialects(files.size());
+  std::vector<core::ConfigDialect> dialects(files.size());
+
+  // With rule I7 disabled, IOS addresses enter the trie on demand during
+  // file processing — an order-dependent operation. Fall back to one
+  // worker so the output still matches the sequential engine exactly.
+  const bool i7_enabled = core::SubnetPreload::Enabled(
+      core::Anonymizer::kDialect, context_->options().base);
+  const int threads = i7_enabled ? ResolveThreads(files.size()) : 1;
+  // Built up front: the prewarm phase reads the engines' pass-lists.
+  std::vector<std::unique_ptr<EngineWorker>> workers;
+  workers.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    workers.push_back(std::make_unique<EngineWorker>(*context_, *session_));
+  }
 
   // Phase 1: dialect routing + corpus-wide preload. All RNG consumption
   // happens here; phase 2 only reads the trie's memo.
@@ -159,16 +144,10 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_,
                                           "prewarm");
     std::vector<std::string_view> candidates;
-    const passlist::PassList ios_list = passlist::PassList::Builtin();
-    const passlist::PassList junos_list = junos::JunosPassList();
+    EngineWorker& first = *workers.front();
     for (std::size_t i = 0; i < files.size(); ++i) {
-      if (dialects[i] == FileDialect::kJunos) {
-        junos::JunosAnonymizer::CollectHashCandidates(files[i], junos_list,
-                                                      candidates);
-      } else {
-        core::Anonymizer::CollectHashCandidates(files[i], ios_list,
-                                                candidates);
-      }
+      Dialect(dialects[i]).collect_hash_candidates(
+          files[i], first.For(dialects[i]).pass_list(), candidates);
     }
     core::PrewarmHashMemo(session_->state()->hasher, candidates,
                           hooks_.metrics);
@@ -180,19 +159,7 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
   std::vector<obs::ProvenanceLog> file_provenance(
       collect_provenance ? files.size() : 0);
 
-  // With rule I7 disabled, IOS addresses enter the trie on demand during
-  // file processing — an order-dependent operation. Fall back to one
-  // worker so the output still matches the sequential engine exactly.
-  const bool i7_enabled = !context_->options().base.disabled_rules.contains(
-      core::rules::kSubnetPreload);
-  const int threads = i7_enabled ? ResolveThreads(files.size()) : 1;
   std::vector<config::ConfigFile> out(files.size());
-
-  std::vector<std::unique_ptr<EngineWorker>> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.push_back(std::make_unique<EngineWorker>(*context_, *session_));
-  }
 
   // Phase 2: parallel per-file anonymization. The phase window spans the
   // whole pool (open while any worker runs); at threads <= 1 RunWorkers
@@ -205,23 +172,22 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
       EngineWorker& worker = *workers[static_cast<std::size_t>(worker_index)];
       obs::Hooks worker_hooks = hooks_;
       worker_hooks.provenance = nullptr;
-      worker.ios->install_hooks(worker_hooks);
-      worker.junos->install_hooks(worker_hooks);
+      worker.ios.install_hooks(worker_hooks);
+      worker.junos.install_hooks(worker_hooks);
       std::size_t begin = 0;
       std::size_t end = 0;
       while (queue.Next(begin, end)) {
         for (std::size_t i = begin; i < end; ++i) {
-          core::AnonymizerEngine& engine = worker.ForDialect(dialects[i]);
           if (collect_provenance) {
             obs::Hooks per_file = worker_hooks;
             per_file.provenance = &file_provenance[i];
-            engine.install_hooks(per_file);
+            worker.For(dialects[i]).install_hooks(per_file);
           }
-          out[i] = engine.AnonymizeFile(files[i]);
+          out[i] = worker.AnonymizeFile(dialects[i], files[i]);
         }
       }
-      worker.ios->SyncMetrics();
-      worker.junos->SyncMetrics();
+      worker.ios.SyncMetrics();
+      worker.junos.SyncMetrics();
     });
   }
 
@@ -230,10 +196,10 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
   {
     obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_, "join");
     for (const auto& worker : workers) {
-      report_.Merge(worker->ios->report());
-      report_.Merge(worker->junos->report());
-      leak_record_.Merge(worker->ios->leak_record());
-      leak_record_.Merge(worker->junos->leak_record());
+      report_.Merge(worker->ios.report());
+      report_.Merge(worker->junos.report());
+      leak_record_.Merge(worker->ios.leak_record());
+      leak_record_.Merge(worker->junos.leak_record());
     }
     if (collect_provenance) {
       for (const obs::ProvenanceLog& log : file_provenance) {
@@ -282,30 +248,13 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
 
 void CorpusPipeline::SyncSharedMetrics() {
   if (hooks_.metrics == nullptr) return;
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      hooks_.metrics->CounterNamed(name).Add(current - base);
-      base = current;
-    }
-  };
-  core::NetworkState& state = *session_->state();
-  const ipanon::IpAnonymizer::Stats ip_stats = state.ip.stats();
-  sync("ipanon.cache_hits", ip_stats.cache_hits, synced_ip_.cache_hits);
-  sync("ipanon.cache_misses", ip_stats.cache_misses, synced_ip_.cache_misses);
-  sync("ipanon.collision_walks", ip_stats.collision_walks,
-       synced_ip_.collision_walks);
-  sync("ipanon.preloaded_addresses", ip_stats.preloaded, synced_ip_.preloaded);
-  hooks_.metrics->GaugeNamed("ipanon.trie_nodes")
-      .Set(static_cast<std::int64_t>(state.ip.NodeCount()));
+  core::SyncTrieDeltas(session_->state()->ip, synced_ip_, *hooks_.metrics,
+                       "");
 }
 
 void CorpusPipeline::ExportKnownEntities(std::ostream& out) {
-  // A throwaway engine over the shared state renders the groupings; the
-  // mappings live in the state, so any engine emits the same lines.
-  const auto exporter =
-      context_->MakeEngine(core::ConfigDialect::kIos, *session_);
-  exporter->ExportKnownEntities(out);
+  core::ExportKnownEntities(context_->options().base.known_entities,
+                            *session_->state(), out);
 }
 
 std::vector<NetworkOutput> AnonymizeNetworkSet(
@@ -369,20 +318,6 @@ std::vector<NetworkOutput> AnonymizeNetworkSet(
     }
   });
   return out;
-}
-
-std::vector<NetworkOutput> AnonymizeNetworkSet(
-    const std::vector<NetworkTask>& tasks,
-    const NetworkSetOptions& set_options) {
-  core::ServiceOptions options;
-  options.threads = set_options.threads;
-  core::ServiceContext set_context(std::move(options));
-  obs::Hooks hooks;
-  hooks.metrics = set_options.metrics;
-  hooks.trace = set_options.trace;
-  hooks.profiler = set_options.profiler;
-  set_context.install_hooks(hooks);
-  return AnonymizeNetworkSet(tasks, set_context);
 }
 
 }  // namespace confanon::pipeline

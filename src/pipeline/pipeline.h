@@ -8,12 +8,12 @@
 // pipeline runs in two phases:
 //
 //   1. Preload (sequential): collect every address in the corpus — using
-//      the right tokenizer per file dialect — and preload the shared trie.
+//      each file's dialect collector (core::DialectDescriptor) — and
+//      preload the shared trie.
 //   2. Files (parallel): a fixed-size worker pool pulls fixed-size batches
 //      of file indices from an atomic cursor. Each worker owns one IOS and
-//      one JunOS engine (built by the context's dialect factories) over
-//      the ONE shared core::Session, and routes each file to the engine
-//      matching its dialect.
+//      one JunOS engine over the ONE shared core::Session, and routes each
+//      file to the engine matching its dialect.
 //
 // Determinism guarantee: output files land at their input index, and the
 // per-file transformation depends only on the shared (preloaded,
@@ -24,11 +24,10 @@
 // those are deterministic too. See docs/PIPELINE.md.
 //
 // Public API shape (see core/session.h): a process-lifetime
-// core::ServiceContext (options, pass list, dialect engine factories,
-// hooks, thread budget) plus a per-network/per-tenant core::Session
-// (salted NetworkState). The pipeline is a *driver* over those two
-// objects; batch tools build both per run, the daemon keeps sessions
-// alive across requests.
+// core::ServiceContext (options, pass list, hooks, thread budget) plus
+// a per-network/per-tenant core::Session (salted NetworkState). The
+// pipeline is a *driver* over those two objects; batch tools build both
+// per run, the daemon keeps sessions alive across requests.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +37,6 @@
 
 #include "config/document.h"
 #include "core/anonymizer.h"
-#include "core/engine.h"
 #include "core/leak_detector.h"
 #include "core/network_state.h"
 #include "core/report.h"
@@ -50,52 +48,25 @@
 
 namespace confanon::pipeline {
 
-/// DEPRECATED alias: dialect routing now lives in core::ConfigDialect so
-/// the Session/Context API can route files without linking the pipeline.
-/// Kept for one release; new code should spell core::ConfigDialect.
-using FileDialect = core::ConfigDialect;
-
-/// DEPRECATED forwarder for core::DetectDialect (the brace-structure
-/// heuristic); kept for one release.
-inline FileDialect DetectDialect(const config::ConfigFile& file) {
-  return core::DetectDialect(file);
-}
-
-/// DEPRECATED alias: the consolidated options struct consumed by
-/// core::ServiceContext is core::ServiceOptions — one struct for the
-/// fields previously duplicated between PipelineOptions and
-/// NetworkSetOptions (threads, dialect routing, engine options). Kept
-/// for one release; new code should spell core::ServiceOptions.
-using PipelineOptions = core::ServiceOptions;
-
-/// Builds a ServiceContext with BOTH built-in dialect engine factories
-/// registered (IOS is registered by core itself; JunOS is registered
-/// here, the lowest layer that links the JunOS engine). Every batch tool
-/// and the daemon construct their context through this.
+/// Builds a ServiceContext for `options`. With options.verify_policy set
+/// it runs the static policy verifier (src/verify) over both dialects'
+/// policy and records the verdict, so CreateSession refuses a provably
+/// leaky policy. Every batch tool and the daemon construct their context
+/// through this.
 std::shared_ptr<core::ServiceContext> MakeServiceContext(
     core::ServiceOptions options);
 
 /// Anonymizes corpora against one core::Session with a pool of engine
-/// workers. Two construction forms:
-///
-///   * Session form — CorpusPipeline(context, session): the pipeline is a
-///     driver over an externally owned (possibly long-lived) session.
-///     EVERY AnonymizeCorpus call preloads its own corpus's addresses
-///     (Preload is idempotent per address), so a session fed successive
-///     requests produces byte-for-byte what a sequential engine fed the
-///     same files in the same order produces — the daemon's streaming
-///     contract.
-///   * Options form — CorpusPipeline(options): DEPRECATED thin forwarder
-///     that builds a private context + session; preserves the historical
-///     batch semantics (one preload per session, later AnonymizeCorpus
-///     calls reuse the established mappings).
+/// workers. The pipeline is a driver over an externally owned (possibly
+/// long-lived) session: EVERY AnonymizeCorpus call preloads its own
+/// corpus's addresses (Preload is idempotent per address), so a session
+/// fed successive requests produces byte-for-byte what a sequential
+/// engine fed the same files in the same order produces — the daemon's
+/// streaming contract.
 class CorpusPipeline {
  public:
   CorpusPipeline(std::shared_ptr<const core::ServiceContext> context,
                  std::shared_ptr<core::Session> session);
-
-  /// DEPRECATED forwarder; see class comment.
-  explicit CorpusPipeline(PipelineOptions options);
 
   /// Phase 1 + phase 2 (see file comment). Output file i corresponds to
   /// input file i. Worker exceptions are rethrown on the calling thread.
@@ -146,15 +117,14 @@ class CorpusPipeline {
  private:
   /// Effective thread count for a corpus of `file_count` files.
   int ResolveThreads(std::size_t file_count) const;
-  FileDialect ResolveDialect(const config::ConfigFile& file) const;
+  core::ConfigDialect ResolveDialect(const config::ConfigFile& file) const;
 
-  /// Corpus-wide rule I7: collect every file's addresses with the
-  /// dialect-appropriate tokenizer and preload the shared trie. In the
-  /// session form this runs once per AnonymizeCorpus call (streaming
-  /// requests each preload their own file set); in the options form it
-  /// runs once per session, like the sequential engine's corpus pass.
+  /// Corpus-wide rule I7 (core::SubnetPreload): collect every file's
+  /// addresses with its dialect's collector and preload the shared trie.
+  /// Runs once per AnonymizeCorpus call — streaming requests each
+  /// preload their own file set.
   void PreloadCorpus(const std::vector<config::ConfigFile>& files,
-                     const std::vector<FileDialect>& dialects);
+                     const std::vector<core::ConfigDialect>& dialects);
 
   /// Pushes shared-trie counter deltas and the trie-size gauge into the
   /// metrics registry (the workers deliberately skip these — syncing
@@ -163,8 +133,6 @@ class CorpusPipeline {
 
   std::shared_ptr<const core::ServiceContext> context_;
   std::shared_ptr<core::Session> session_;
-  /// Session form: preload every AnonymizeCorpus call's corpus.
-  bool per_call_preload_ = false;
   core::AnonymizationReport report_;
   core::LeakRecord leak_record_;
   defense::DefenseReport defense_report_;
@@ -205,25 +173,6 @@ struct NetworkOutput {
   core::DefenseSummary defense;
 };
 
-/// DEPRECATED: the thread budget and the observability pointers both
-/// moved into core::ServiceContext (options().threads and hooks());
-/// kept for one release as a forwarder into the context overload.
-struct NetworkSetOptions {
-  /// Total worker-thread budget shared by all networks. 0 picks
-  /// std::thread::hardware_concurrency().
-  int threads = 0;
-  /// Optional registry shared by every network's pipeline (thread-safe;
-  /// counter totals are order-independent).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional span sink shared by every network's pipeline (must be
-  /// thread-safe, like JsonlTraceSink or PhaseProfiler).
-  obs::TraceSink* trace = nullptr;
-  /// Optional phase profiler; every pipeline brackets its phases on it.
-  /// Phase windows are re-entrant, so concurrent networks in the same
-  /// phase count overlapping wall time once.
-  obs::PhaseProfiler* profiler = nullptr;
-};
-
 /// Anonymizes several independent networks concurrently over
 /// `set_context`'s thread budget (options().threads) and hooks. Output i
 /// corresponds to tasks[i]. The first worker exception is rethrown on
@@ -231,10 +180,5 @@ struct NetworkSetOptions {
 std::vector<NetworkOutput> AnonymizeNetworkSet(
     const std::vector<NetworkTask>& tasks,
     const core::ServiceContext& set_context);
-
-/// DEPRECATED thin forwarder into the ServiceContext overload.
-std::vector<NetworkOutput> AnonymizeNetworkSet(
-    const std::vector<NetworkTask>& tasks,
-    const NetworkSetOptions& set_options = {});
 
 }  // namespace confanon::pipeline

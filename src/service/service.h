@@ -4,8 +4,8 @@
 // away; the daemon is the long-running form of the same API. One
 // AnonymizationService owns
 //
-//   * a shared process-lifetime core::ServiceContext (immutable pass-list
-//     automaton, dialect engine factories, hooks, thread budget), and
+//   * a shared process-lifetime core::ServiceContext (immutable engine
+//     options and pass-list, hooks, thread budget), and
 //   * a registry of per-tenant core::Sessions, created lazily on first
 //     use and keyed by the X-Confanon-Tenant request header. A tenant's
 //     salt is "<base salt>:<tenant>" — the same convention

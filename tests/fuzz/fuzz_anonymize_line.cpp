@@ -47,7 +47,7 @@ void AnonymizeBoth(const std::string& text) {
     (void)engine.AnonymizeNetwork({file});
   }
   {
-    confanon::junos::JunosAnonymizerOptions options;
+    confanon::core::AnonymizerOptions options;
     options.salt = "fuzz-salt";
     confanon::junos::JunosAnonymizer engine(options);
     (void)engine.AnonymizeNetwork({file});

@@ -135,7 +135,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)engine.AnonymizeNetwork({file});
   }
   {
-    confanon::junos::JunosAnonymizerOptions options;
+    confanon::core::AnonymizerOptions options;
     options.salt = "fuzz-salt";
     confanon::junos::JunosAnonymizer engine(options);
     (void)engine.AnonymizeNetwork({file});

@@ -247,6 +247,22 @@ TEST(ExpositionServer, StartFailureReportsError) {
   server.Stop();  // no-op on an inert server
 }
 
+TEST(ExpositionServer, PooledStartStopCyclesNeverHang) {
+  // Stop() must publish its stop flag under the handler queue's mutex: a
+  // handler that has just found the wait predicate false would otherwise
+  // miss the notify, park forever, and hang Stop() in join(). Starting
+  // and stopping back to back keeps the handlers inside that window.
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    obs::ExpositionServer::Options options;
+    options.handler_threads = 2;
+    obs::ExpositionServer server(options, [] { return std::string(); });
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << "cycle " << cycle << ": " << error;
+    server.Stop();
+    EXPECT_FALSE(server.running());
+  }
+}
+
 // --- perf counters -----------------------------------------------------
 
 TEST(PerfCounters, OpensOrDegradesGracefully) {

@@ -104,7 +104,8 @@ TEST(KnownEntities, PrefixContainmentSurvivesForMembers) {
       " neighbor 157.130.4.9 remote-as 701\n"
       " neighbor 157.130.77.2 remote-as 701\n")});
   std::ostringstream out;
-  anonymizer.ExportKnownEntities(out);
+  core::ExportKnownEntities(options.known_entities, *anonymizer.state(),
+                            out);
   const std::string text = out.str();
   const std::size_t prefixes_at = text.find("prefixes ");
   ASSERT_NE(prefixes_at, std::string::npos);

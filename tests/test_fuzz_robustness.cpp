@@ -201,7 +201,7 @@ TEST(FuzzRobustness, JunosTokenSoup) {
       text += '\n';
     }
     auto run = [&] {
-      junos::JunosAnonymizerOptions options;
+      core::AnonymizerOptions options;
       options.salt = "junos-fuzz";
       junos::JunosAnonymizer anonymizer(std::move(options));
       return anonymizer

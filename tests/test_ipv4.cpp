@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/rng.h"
 
 namespace confanon::net {
@@ -27,6 +29,11 @@ TEST(Ipv4Address, ParseLeadingZerosAccepted) {
 struct BadAddressCase {
   const char* text;
 };
+// Printers keep the test names (which CTest builds from the printed
+// parameter) independent of where the literals land in memory.
+void PrintTo(const BadAddressCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 class Ipv4ParseRejects : public ::testing::TestWithParam<BadAddressCase> {};
 
 TEST_P(Ipv4ParseRejects, Rejects) {
@@ -63,6 +70,9 @@ struct ClassCase {
   const char* text;
   AddrClass expected;
 };
+void PrintTo(const ClassCase& c, std::ostream* os) {
+  *os << c.text << " class " << "ABCDE"[static_cast<int>(c.expected)];
+}
 class Ipv4ClassTest : public ::testing::TestWithParam<ClassCase> {};
 
 TEST_P(Ipv4ClassTest, Classifies) {

@@ -132,7 +132,7 @@ config::ConfigFile File(std::string_view text) {
 }
 
 std::string Anonymize(std::string_view text) {
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   return anonymizer.AnonymizeNetwork({File(text)}).front().ToText();
@@ -175,7 +175,7 @@ TEST(JunosAnonymizer, DescriptionStringStripped) {
 }
 
 TEST(JunosAnonymizer, PeerAsMapped) {
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   const auto out =
@@ -198,7 +198,7 @@ TEST(JunosAnonymizer, CidrAddressMappedLengthKept) {
 }
 
 TEST(JunosAnonymizer, AsPathRegexRewritten) {
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   const auto out = anonymizer.AnonymizeNetwork(
@@ -214,7 +214,7 @@ TEST(JunosAnonymizer, AsPathRegexRewritten) {
 TEST(JunosAnonymizer, AsPathReferenceNotTreatedAsRegex) {
   // `from { as-path peer-in; }` carries no quoted pattern; the name is
   // hashed consistently with its definition.
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   const auto out = anonymizer.AnonymizeNetwork({File(
@@ -227,7 +227,7 @@ TEST(JunosAnonymizer, AsPathReferenceNotTreatedAsRegex) {
 }
 
 TEST(JunosAnonymizer, CommunityMembersLiteralsMapped) {
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   const auto out = anonymizer.AnonymizeNetwork(
@@ -247,7 +247,7 @@ TEST(JunosAnonymizer, CommunityRegexRewritten) {
 }
 
 TEST(JunosAnonymizer, AsPathPrependMapped) {
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   const auto out = anonymizer.AnonymizeNetwork(
@@ -260,7 +260,7 @@ TEST(JunosAnonymizer, AsPathPrependMapped) {
 TEST(JunosAnonymizer, InlineMultiStatementLinesHandled) {
   // JunOS statements can share a line; context rules must not be anchored
   // to the line head.
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-salt";
   JunosAnonymizer anonymizer(std::move(options));
   const auto out = anonymizer.AnonymizeNetwork({File(
@@ -279,7 +279,7 @@ TEST(JunosAnonymizer, StructurePreservedEndToEnd) {
   // count survive; no company name survives; leak grep clean.
   const auto network = SampleNetwork();
   const auto pre = WriteJunosNetworkConfigs(network);
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-e2e";
   JunosAnonymizer anonymizer(std::move(options));
   const auto post = anonymizer.AnonymizeNetwork(pre);
@@ -321,7 +321,7 @@ TEST(JunosAnonymizer, CrossLanguageConsistencyWithIos) {
   core::Anonymizer ios_anonymizer(std::move(ios_options));
   ios_anonymizer.AnonymizeNetwork(ios);
 
-  JunosAnonymizerOptions junos_options;
+  core::AnonymizerOptions junos_options;
   junos_options.salt = "shared-salt";
   JunosAnonymizer junos_anonymizer(std::move(junos_options));
   // Import the IOS run's IP mapping before anonymizing the JunOS corpus.

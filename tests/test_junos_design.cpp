@@ -248,7 +248,7 @@ TEST_P(JunosValidation, DesignSurvivesAnonymization) {
   const auto network = gen::GenerateNetwork(params, 0);
   const auto pre = WriteJunosNetworkConfigs(network);
 
-  JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "junos-val-" + std::to_string(GetParam());
   JunosAnonymizer anonymizer(std::move(options));
   const auto post = anonymizer.AnonymizeNetwork(pre);

@@ -66,10 +66,11 @@ std::vector<config::ConfigFile> MixedCorpus(std::uint64_t seed) {
 std::vector<config::ConfigFile> RunPipeline(
     const std::vector<config::ConfigFile>& files, const std::string& salt,
     int threads) {
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = salt;
   options.threads = threads;
-  pipeline::CorpusPipeline pipeline(std::move(options));
+  const auto context = pipeline::MakeServiceContext(std::move(options));
+  pipeline::CorpusPipeline pipeline(context, context->CreateSession());
   return pipeline.AnonymizeCorpus(files);
 }
 
@@ -157,7 +158,7 @@ TEST(Metamorphic, JunosPassListWordsAreFixedPoints) {
       "    }\n"
       "}\n");
 
-  junos::JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "fixed-point-salt";
   junos::JunosAnonymizer engine(options);
   const auto post = engine.AnonymizeNetwork({file});
@@ -200,12 +201,12 @@ TEST(Metamorphic, ReanonymizedOutputHasNoNewLeaks) {
 
 TEST(Metamorphic, ReanonymizedJunosOutputHasNoNewLeaks) {
   const auto files = JunosCorpus(104, 10);
-  junos::JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "leak-closure-salt";
   junos::JunosAnonymizer first(options);
   const auto once = first.AnonymizeNetwork(files);
 
-  junos::JunosAnonymizerOptions again;
+  core::AnonymizerOptions again;
   again.salt = "leak-closure-salt-2";
   junos::JunosAnonymizer second(again);
   const auto twice = second.AnonymizeNetwork(once);

@@ -400,7 +400,7 @@ TEST(ObservedAnonymizer, SilentWithoutInstrumentation) {
 TEST(ObservedAnonymizer, JunosMetricsUsePrefix) {
   obs::MetricsRegistry registry;
   obs::ProvenanceLog provenance;
-  junos::JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "obs-test";
   junos::JunosAnonymizer anonymizer(std::move(options));
   anonymizer.install_hooks(obs::Hooks{.metrics = &registry,

@@ -64,13 +64,27 @@ std::vector<config::ConfigFile> MixedCorpus(std::uint64_t seed) {
   return mixed;
 }
 
+/// A pipeline over a fresh session of a freshly built context.
+pipeline::CorpusPipeline MakePipeline(core::ServiceOptions options) {
+  const auto context = pipeline::MakeServiceContext(std::move(options));
+  return pipeline::CorpusPipeline(context, context->CreateSession());
+}
+
 std::vector<config::ConfigFile> RunPipeline(
     const std::vector<config::ConfigFile>& files, int threads) {
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "pipeline-test-salt";
   options.threads = threads;
-  pipeline::CorpusPipeline pipeline(std::move(options));
+  pipeline::CorpusPipeline pipeline = MakePipeline(std::move(options));
   return pipeline.AnonymizeCorpus(files);
+}
+
+std::vector<pipeline::NetworkOutput> RunNetworkSet(
+    const std::vector<pipeline::NetworkTask>& tasks, int threads) {
+  core::ServiceOptions options;
+  options.threads = threads;
+  const core::ServiceContext set_context(std::move(options));
+  return pipeline::AnonymizeNetworkSet(tasks, set_context);
 }
 
 void ExpectSameTexts(const std::vector<config::ConfigFile>& a,
@@ -85,24 +99,24 @@ void ExpectSameTexts(const std::vector<config::ConfigFile>& a,
 // --- Dialect detection -------------------------------------------------
 
 TEST(DetectDialect, ClassifiesBraceSyntax) {
-  EXPECT_EQ(pipeline::DetectDialect(config::ConfigFile::FromText(
+  EXPECT_EQ(core::DetectDialect(config::ConfigFile::FromText(
                 "r.cfg", "hostname edge-1\ninterface Serial0\n")),
-            pipeline::FileDialect::kIos);
-  EXPECT_EQ(pipeline::DetectDialect(config::ConfigFile::FromText(
+            core::ConfigDialect::kIos);
+  EXPECT_EQ(core::DetectDialect(config::ConfigFile::FromText(
                 "r.conf", "system {\n    host-name core-1;\n}\n")),
-            pipeline::FileDialect::kJunos);
+            core::ConfigDialect::kJunos);
   // Empty files default to IOS.
-  EXPECT_EQ(pipeline::DetectDialect(config::ConfigFile::FromText("e", "")),
-            pipeline::FileDialect::kIos);
+  EXPECT_EQ(core::DetectDialect(config::ConfigFile::FromText("e", "")),
+            core::ConfigDialect::kIos);
 }
 
 TEST(DetectDialect, GeneratedCorporaClassifyCorrectly) {
   for (const auto& file : IosCorpus(11, 6)) {
-    EXPECT_EQ(pipeline::DetectDialect(file), pipeline::FileDialect::kIos)
+    EXPECT_EQ(core::DetectDialect(file), core::ConfigDialect::kIos)
         << file.name();
   }
   for (const auto& file : JunosCorpus(11, 6)) {
-    EXPECT_EQ(pipeline::DetectDialect(file), pipeline::FileDialect::kJunos)
+    EXPECT_EQ(core::DetectDialect(file), core::ConfigDialect::kJunos)
         << file.name();
   }
 }
@@ -117,10 +131,10 @@ TEST(CorpusPipeline, SingleThreadMatchesSequentialIosEngine) {
   core::Anonymizer sequential(options);
   const auto expected = sequential.AnonymizeNetwork(files);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base = options;
   popts.threads = 1;
-  pipeline::CorpusPipeline pipeline(popts);
+  pipeline::CorpusPipeline pipeline = MakePipeline(popts);
   const auto actual = pipeline.AnonymizeCorpus(files);
 
   ExpectSameTexts(expected, actual);
@@ -131,15 +145,15 @@ TEST(CorpusPipeline, SingleThreadMatchesSequentialIosEngine) {
 TEST(CorpusPipeline, SingleThreadMatchesSequentialJunosEngine) {
   const auto files = JunosCorpus(22, 12);
 
-  junos::JunosAnonymizerOptions joptions;
+  core::AnonymizerOptions joptions;
   joptions.salt = "pipeline-test-salt";
   junos::JunosAnonymizer sequential(joptions);
   const auto expected = sequential.AnonymizeNetwork(files);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 1;
-  pipeline::CorpusPipeline pipeline(popts);
+  pipeline::CorpusPipeline pipeline = MakePipeline(popts);
   const auto actual = pipeline.AnonymizeCorpus(files);
 
   ExpectSameTexts(expected, actual);
@@ -174,14 +188,14 @@ TEST_P(PipelineDeterminism, MixedCorpusByteIdentical) {
 TEST_P(PipelineDeterminism, ReportsMatchAcrossThreadCounts) {
   const auto files = MixedCorpus(34);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 1;
-  pipeline::CorpusPipeline baseline(popts);
+  pipeline::CorpusPipeline baseline = MakePipeline(popts);
   baseline.AnonymizeCorpus(files);
 
   popts.threads = GetParam();
-  pipeline::CorpusPipeline parallel(popts);
+  pipeline::CorpusPipeline parallel = MakePipeline(popts);
   parallel.AnonymizeCorpus(files);
 
   EXPECT_EQ(baseline.report().ToJson(), parallel.report().ToJson());
@@ -204,9 +218,9 @@ TEST_P(PipelineDeterminism, NetworkSetByteIdenticalAcrossThreads) {
     return tasks;
   };
   const auto tasks = build_tasks();
-  const auto baseline = pipeline::AnonymizeNetworkSet(tasks, {.threads = 1});
+  const auto baseline = RunNetworkSet(tasks, 1);
   const auto parallel =
-      pipeline::AnonymizeNetworkSet(tasks, {.threads = GetParam()});
+      RunNetworkSet(tasks, GetParam());
   ASSERT_EQ(baseline.size(), tasks.size());
   ASSERT_EQ(parallel.size(), tasks.size());
   for (std::size_t n = 0; n < tasks.size(); ++n) {
@@ -225,10 +239,10 @@ TEST(AnonymizeNetworkSet, MatchesStandalonePipelines) {
   tasks[1].options.base.salt = "solo-b";
   tasks[1].files = JunosCorpus(52, 5);
 
-  const auto results = pipeline::AnonymizeNetworkSet(tasks, {.threads = 4});
+  const auto results = RunNetworkSet(tasks, 4);
 
   for (std::size_t n = 0; n < tasks.size(); ++n) {
-    pipeline::CorpusPipeline solo(tasks[n].options);
+    pipeline::CorpusPipeline solo = MakePipeline(tasks[n].options);
     const auto expected = solo.AnonymizeCorpus(tasks[n].files);
     ExpectSameTexts(expected, results[n].files);
     EXPECT_EQ(solo.report().ToJson(), results[n].report.ToJson());
@@ -267,10 +281,10 @@ TEST(CorpusPipeline, MixedCorpusSharesOneMapping) {
       "    }\n"
       "}\n");
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 2;
-  pipeline::CorpusPipeline pipeline(popts);
+  pipeline::CorpusPipeline pipeline = MakePipeline(popts);
   const auto post = pipeline.AnonymizeCorpus({ios_file, junos_file});
   ASSERT_EQ(post.size(), 2u);
 
@@ -335,7 +349,7 @@ TEST(AnonymizeFile, JunosStandaloneCallPreloadsOwnAddresses) {
       "    }\n"
       "}\n");
 
-  junos::JunosAnonymizerOptions options;
+  core::AnonymizerOptions options;
   options.salt = "preload-regression";
   junos::JunosAnonymizer standalone(options);
   const auto direct = standalone.AnonymizeFile(file);
@@ -356,10 +370,10 @@ TEST(CorpusPipeline, HooksCoverMetricsTraceAndProvenance) {
   std::ostringstream trace_stream;
   obs::JsonlTraceSink sink(trace_stream);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 4;
-  pipeline::CorpusPipeline pipeline(popts);
+  pipeline::CorpusPipeline pipeline = MakePipeline(popts);
   pipeline.install_hooks(obs::Hooks{&registry, &sink, &provenance});
   const auto post = pipeline.AnonymizeCorpus(files);
   sink.Close();
@@ -416,10 +430,10 @@ TEST(CorpusPipeline, RewriteMemoCountsRepeatedPatterns) {
   }
 
   obs::MetricsRegistry registry;
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 2;
-  pipeline::CorpusPipeline pipeline(popts);
+  pipeline::CorpusPipeline pipeline = MakePipeline(popts);
   pipeline.install_hooks(obs::Hooks{.metrics = &registry});
   pipeline.AnonymizeCorpus(files);
 
@@ -435,10 +449,10 @@ TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
   // profiler's "self-times sum to wall time" claim. A generous absolute
   // slack absorbs scheduler noise on tiny corpora.
   const auto files = MixedCorpus(77);
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "pipeline-test-salt";
   options.threads = 1;
-  pipeline::CorpusPipeline pipeline(std::move(options));
+  pipeline::CorpusPipeline pipeline = MakePipeline(std::move(options));
 
   obs::PhaseProfiler profiler({.enable_perf_counters = false});
   obs::Hooks hooks;
@@ -476,12 +490,12 @@ TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
 }
 
 TEST(CorpusPipeline, ExportKnownEntitiesRendersSharedMappings) {
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.base.known_entities.push_back(
       {"FOO-CORP", {701, 7018}, {net::Prefix(*net::Ipv4Address::Parse("12.0.0.0"), 8)}});
   popts.threads = 2;
-  pipeline::CorpusPipeline pipeline(popts);
+  pipeline::CorpusPipeline pipeline = MakePipeline(popts);
   pipeline.AnonymizeCorpus({config::ConfigFile::FromText(
       "r.cfg", "hostname foocorp-edge\n ip address 10.0.0.1 255.0.0.0\n")});
   std::ostringstream out;

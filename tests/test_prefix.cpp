@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/special.h"
 
 namespace confanon::net {
@@ -105,6 +107,10 @@ struct SpecialCase {
   const char* text;
   SpecialKind expected;
 };
+// Keeps the CTest name, built from the printed parameter, stable.
+void PrintTo(const SpecialCase& c, std::ostream* os) {
+  *os << c.text << ' ' << SpecialKindName(c.expected);
+}
 class SpecialClassify : public ::testing::TestWithParam<SpecialCase> {};
 
 TEST_P(SpecialClassify, Classifies) {

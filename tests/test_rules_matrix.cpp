@@ -149,7 +149,7 @@ TEST(KnownEntities, ExportsAnonymizedGroupings) {
       "r", "router bgp 65000\n neighbor 157.130.0.1 remote-as 701\n")});
 
   std::ostringstream out;
-  anonymizer.ExportKnownEntities(out);
+  ExportKnownEntities(options.known_entities, *anonymizer.state(), out);
   const std::string text = out.str();
   // The label never appears; the mapped values do.
   EXPECT_EQ(text.find("UUNET"), std::string::npos);
@@ -174,9 +174,9 @@ TEST(KnownEntities, ExportsAnonymizedGroupings) {
 TEST(KnownEntities, EmptyByDefault) {
   AnonymizerOptions options;
   options.salt = "entity-salt";
-  Anonymizer anonymizer(std::move(options));
+  Anonymizer anonymizer(options);
   std::ostringstream out;
-  anonymizer.ExportKnownEntities(out);
+  ExportKnownEntities(options.known_entities, *anonymizer.state(), out);
   EXPECT_TRUE(out.str().empty());
 }
 
@@ -193,7 +193,7 @@ TEST(KnownEntities, GroupingIsConsistentWithConfigRewrites) {
       {config::ConfigFile::FromText(
           "r", "router bgp 65000\n neighbor 10.0.0.1 remote-as 1239\n")});
   std::ostringstream out;
-  anonymizer.ExportKnownEntities(out);
+  ExportKnownEntities(options.known_entities, *anonymizer.state(), out);
   const std::string mapped = std::to_string(anonymizer.asn_map().Map(1239));
   EXPECT_NE(out.str().find(mapped), std::string::npos);
   EXPECT_NE(post.front().ToText().find("remote-as " + mapped),

@@ -174,9 +174,10 @@ TEST(ServiceSession, FirstRequestMatchesFreshCliRun) {
   const auto files = IosCorpus(72, 3);
 
   // CLI equivalent: a fresh batch pipeline over just this file.
-  pipeline::PipelineOptions cli_options;
+  core::ServiceOptions cli_options;
   cli_options.base.salt = "svc-base:tenant-x";
-  pipeline::CorpusPipeline cli(std::move(cli_options));
+  const auto cli_context = pipeline::MakeServiceContext(std::move(cli_options));
+  pipeline::CorpusPipeline cli(cli_context, cli_context->CreateSession());
   const auto expected = cli.AnonymizeCorpus({files[0]});
 
   core::ServiceOptions options;

@@ -30,6 +30,10 @@ direction (a p50 DROP beyond tolerance regresses, and best-of-runs takes
 the maximum) — throughput metrics like scale.lines_per_s read this way.
 `*.lane_fill` histograms are inverted implicitly for compatibility.
 
+A baseline, current or noise file that is missing or not valid JSON
+stops the run with one error line naming the file (exit 1): a gate
+whose input is absent must fail, not pass or crash with a traceback.
+
 A metric regressing beyond its tolerance emits a GitHub Actions
 annotation. Only metrics marked "gate": true fail the run (exit 1)
 under --fail — everything else stays warn-only, so one noisy histogram
@@ -87,11 +91,23 @@ def best_of_runs(runs, name, metric_noise):
             else max(values))
 
 
+def load_json(path, role):
+    """Parses one input file, or exits 1 naming the file and the fault."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as err:
+        sys.exit(f"bench_diff: error: cannot read {role} file {path}: "
+                 f"{err.strerror}")
+    except ValueError as err:
+        sys.exit(f"bench_diff: error: {role} file {path} is not valid "
+                 f"JSON: {err}")
+
+
 def load_noise(path):
     if path is None:
         return 25.0, {}
-    with open(path) as f:
-        doc = json.load(f)
+    doc = load_json(path, "noise")
     return doc.get("default_tolerance_pct", 25.0), doc.get("metrics", {})
 
 
@@ -111,12 +127,9 @@ def main():
                         help="exit nonzero when a gated metric regresses")
     args = parser.parse_args()
 
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    runs = []
-    for path in args.current:
-        with open(path) as f:
-            runs.append(histogram_p50s(json.load(f)))
+    baseline = load_json(args.baseline, "baseline")
+    current_docs = [load_json(path, "current") for path in args.current]
+    runs = [histogram_p50s(doc) for doc in current_docs]
 
     default_tol, metric_noise = load_noise(args.noise)
     if args.warn_above is not None:
@@ -163,8 +176,7 @@ def main():
     # never fails. Only the first current run is shown — counters are
     # deterministic, so the runs agree.
     base_info = info_counters(baseline)
-    with open(args.current[0]) as f:
-        cur_info = info_counters(json.load(f))
+    cur_info = info_counters(current_docs[0])
     info_names = sorted(set(base_info) | set(cur_info))
     if info_names:
         print(f"\n{'counter':<24} {'baseline':>14} {'current':>14}")
