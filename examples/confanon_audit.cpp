@@ -163,9 +163,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       options.threads = std::atoi(next());
     } else if (arg == "--ios") {
-      options.dialect = confanon::audit::DialectMode::kIos;
+      options.dialect = confanon::core::ConfigDialect::kIos;
     } else if (arg == "--junos") {
-      options.dialect = confanon::audit::DialectMode::kJunos;
+      options.dialect = confanon::core::ConfigDialect::kJunos;
     } else if (arg == "--sarif") {
       sarif_path = next();
     } else if (arg == "--metrics") {

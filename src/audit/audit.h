@@ -22,6 +22,7 @@
 
 #include "audit/finding.h"
 #include "config/document.h"
+#include "core/session.h"
 #include "defense/manifest.h"
 #include "obs/metrics.h"
 
@@ -31,12 +32,11 @@ class PhaseProfiler;
 
 namespace confanon::audit {
 
-enum class DialectMode : std::uint8_t { kAuto, kIos, kJunos };
-
 struct AuditOptions {
   /// Worker threads for per-file scanning; <= 0 means one per core.
   int threads = 0;
-  DialectMode dialect = DialectMode::kAuto;
+  /// Rule pack per file; kAuto detects it per file (core::DetectDialect).
+  core::ConfigDialect dialect = core::ConfigDialect::kAuto;
   /// Optional metrics sink (audit.files, audit.findings, audit.scan_ns).
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional phase profiler: the per-file parallel scan is bracketed as

@@ -3,7 +3,6 @@
 #include <optional>
 #include <string_view>
 
-#include "junos/tokenizer.h"
 #include "net/ipv4.h"
 #include "net/special.h"
 #include "util/strings.h"
@@ -11,8 +10,6 @@
 namespace confanon::audit {
 
 namespace {
-
-constexpr std::size_t kNoPayload = ~std::size_t{0};
 
 bool IsAsciiDigitChar(char c) { return c >= '0' && c <= '9'; }
 bool IsAsciiAlphaChar(char c) {
@@ -105,112 +102,34 @@ std::optional<std::string> FindFusedAsnRun(std::string_view word) {
   return std::nullopt;
 }
 
-/// True when the source line is a hostname statement (IOS `hostname X`,
-/// JunOS `host-name X;`), giving the more specific AUD-R004 rule id.
-bool IsHostnameLine(std::string_view raw) {
-  const std::vector<std::string_view> words = util::SplitWords(raw);
-  if (words.empty()) return false;
-  const std::string head = util::ToLower(words[0]);
-  return head == "hostname" || head == "host-name";
-}
-
-void ScanIosFreeText(const config::ConfigFile& file,
-                     std::vector<Finding>& out) {
-  // Surviving banners are whole blocks of prose.
-  for (const config::LineRegion& region : config::FindBannerRegions(file)) {
-    out.push_back(Finding{
-        kRuleFreeText, Severity::kError,
-        Anchor{file.name(), region.begin}, Anchor{},
-        "banner block survived anonymization (banners must be stripped)"});
+std::string ResidueMessage(const ResidueSite& site) {
+  switch (site.kind) {
+    case ResidueKind::kBanner:
+      return "banner block survived anonymization (banners must be stripped)";
+    case ResidueKind::kPayload:
+      return "free-text payload survived after '" + site.keyword + "'";
+    case ResidueKind::kBlockComment:
+      return "block comment content survived (expected a bare '/* */' "
+             "marker)";
+    case ResidueKind::kString:
+      return "free-text string survived after '" + site.keyword + "'";
+    case ResidueKind::kTrailingComment:
+      return "trailing '#' comment survived anonymization";
   }
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    const std::vector<std::string_view> words =
-        util::SplitWords(file.lines()[index]);
-    if (words.empty() || words[0].front() == '!') continue;
-    std::vector<std::string> lower;
-    lower.reserve(words.size());
-    for (const std::string_view word : words) lower.push_back(util::ToLower(word));
-
-    std::size_t payload_from = kNoPayload;
-    if (lower[0] == "description" || lower[0] == "title") {
-      payload_from = 1;
-    } else {
-      for (std::size_t i = 0; i + 1 < lower.size(); ++i) {
-        if (lower[i] == "remark" || lower[i] == "description") {
-          payload_from = i + 1;
-          break;
-        }
-      }
-    }
-    if (lower[0] == "snmp-server" && words.size() >= 3 &&
-        (lower[1] == "contact" || lower[1] == "location" ||
-         lower[1] == "chassis-id")) {
-      payload_from = 2;
-    }
-    if (payload_from != kNoPayload && payload_from < words.size()) {
-      out.push_back(Finding{
-          kRuleFreeText, Severity::kError, Anchor{file.name(), index},
-          Anchor{},
-          "free-text payload survived after '" + lower[payload_from - 1] +
-              "'"});
-    }
-  }
-}
-
-void ScanJunosFreeText(const config::ConfigFile& file,
-                       std::vector<Finding>& out) {
-  junos::JunosLine line;
-  bool in_block_comment = false;
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    const std::string_view raw = file.lines()[index];
-    const bool opens =
-        !in_block_comment && util::StartsWith(util::Trim(raw), "/*");
-    if (opens || in_block_comment) {
-      in_block_comment = raw.find("*/") == std::string::npos;
-      // A comment with content beyond the markers is surviving prose.
-      const std::string_view trimmed = util::Trim(raw);
-      if (trimmed != "/* */" && !util::SplitWords(trimmed).empty() &&
-          trimmed.size() > 4) {
-        out.push_back(Finding{kRuleFreeText, Severity::kError,
-                              Anchor{file.name(), index}, Anchor{},
-                              "block comment content survived (expected a "
-                              "bare '/* */' marker)"});
-      }
-      continue;
-    }
-    junos::TokenizeJunosLineInto(raw, line);
-    for (std::size_t i = 0; i + 1 < line.tokens.size(); ++i) {
-      if (line.tokens[i].kind != junos::Token::Kind::kWord) continue;
-      const std::string keyword = util::ToLower(line.tokens[i].text);
-      if (keyword != "description" && keyword != "message") continue;
-      const junos::Token& value = line.tokens[i + 1];
-      if (value.kind == junos::Token::Kind::kString && value.text != "\"\"") {
-        out.push_back(Finding{
-            kRuleFreeText, Severity::kError, Anchor{file.name(), index},
-            Anchor{},
-            "free-text string survived after '" + keyword + "'"});
-      }
-    }
-    if (!line.tokens.empty() &&
-        line.tokens.back().kind == junos::Token::Kind::kComment) {
-      out.push_back(Finding{kRuleFreeText, Severity::kError,
-                            Anchor{file.name(), index}, Anchor{},
-                            "trailing '#' comment survived anonymization"});
-    }
-  }
+  return "free text survived anonymization";
 }
 
 }  // namespace
 
-std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
-                                     const CanonicalFile& canonical) {
+std::vector<Finding> LintFileResidue(const CanonicalFile& canonical) {
+  const std::string& file = canonical.name;
   std::vector<Finding> out;
 
-  // AUD-R001: free-text survivors, dialect-specific.
-  if (canonical.dialect == Dialect::kJunos) {
-    ScanJunosFreeText(file, out);
-  } else {
-    ScanIosFreeText(file, out);
+  // AUD-R001: free-text survivors.
+  for (const ResidueSite& site : canonical.residue) {
+    out.push_back(Finding{kRuleFreeText, Severity::kError,
+                          Anchor{file, site.line}, Anchor{},
+                          ResidueMessage(site)});
   }
 
   // Token-level rules ride on the canonical classification: every token
@@ -224,15 +143,10 @@ std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
       switch (token.cls) {
         case TokenClass::kWord: {
           if (IsHashToken(key)) break;
-          const bool hostname =
-              line.source_line < canonical.source_line_count &&
-              IsHostnameLine(file.lines()[line.source_line]);
           out.push_back(Finding{
-              hostname ? kRuleHostnameResidue : kRulePassListFallthrough,
-              Severity::kError, Anchor{file.name(), line.source_line},
-              Anchor{},
-              (hostname ? std::string("hostname '") : std::string("token '")) +
-                  key +
+              line.hostname ? kRuleHostnameResidue : kRulePassListFallthrough,
+              Severity::kError, Anchor{file, line.source_line}, Anchor{},
+              std::string(line.hostname ? "hostname '" : "token '") + key +
                   "' is not an anonymized hash and is not pass-listed"});
           break;
         }
@@ -241,13 +155,13 @@ std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
             if (!IsAddressToken(key)) {
               out.push_back(Finding{
                   kRuleEmbeddedAddress, Severity::kError,
-                  Anchor{file.name(), line.source_line}, Anchor{},
+                  Anchor{file, line.source_line}, Anchor{},
                   "token '" + key + "' embeds dotted-quad " + *quad});
             }
           } else if (const auto run = FindFusedAsnRun(key)) {
             out.push_back(Finding{
                 kRuleAsnInName, Severity::kWarning,
-                Anchor{file.name(), line.source_line}, Anchor{},
+                Anchor{file, line.source_line}, Anchor{},
                 "token '" + key + "' embeds ASN-like digit run " + *run});
           }
           break;

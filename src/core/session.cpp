@@ -17,6 +17,11 @@ ConfigDialect DetectDialect(const config::ConfigFile& file) {
   return ConfigDialect::kIos;
 }
 
+ConfigDialect ResolveDialect(ConfigDialect requested,
+                             const config::ConfigFile& file) {
+  return requested == ConfigDialect::kAuto ? DetectDialect(file) : requested;
+}
+
 ServiceContext::ServiceContext(ServiceOptions options)
     : options_(std::move(options)) {}
 

@@ -91,6 +91,11 @@ enum class ConfigDialect {
 /// kJunos when any line matches, kIos otherwise.
 ConfigDialect DetectDialect(const config::ConfigFile& file);
 
+/// The dialect that handles `file` under a `requested` setting: the
+/// setting itself unless it is kAuto, which defers to DetectDialect.
+ConfigDialect ResolveDialect(ConfigDialect requested,
+                             const config::ConfigFile& file);
+
 /// Opt-in post-anonymization fingerprint defense (src/defense): inject
 /// decoy subnets/interfaces/peering stubs until every router's joint
 /// (subnet-size histogram, peering degree) fingerprint is shared by at

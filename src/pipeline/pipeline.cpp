@@ -76,13 +76,6 @@ int CorpusPipeline::ResolveThreads(std::size_t file_count) const {
   return context_->ResolveThreads(file_count);
 }
 
-core::ConfigDialect CorpusPipeline::ResolveDialect(
-    const config::ConfigFile& file) const {
-  const core::ConfigDialect dialect = context_->options().dialect;
-  return dialect == core::ConfigDialect::kAuto ? core::DetectDialect(file)
-                                               : dialect;
-}
-
 void CorpusPipeline::PreloadCorpus(
     const std::vector<config::ConfigFile>& files,
     const std::vector<core::ConfigDialect>& dialects) {
@@ -129,7 +122,8 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_,
                                           "preload");
     for (std::size_t i = 0; i < files.size(); ++i) {
-      dialects[i] = ResolveDialect(files[i]);
+      dialects[i] =
+          core::ResolveDialect(context_->options().dialect, files[i]);
     }
     PreloadCorpus(files, dialects);
   }

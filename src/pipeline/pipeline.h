@@ -117,7 +117,6 @@ class CorpusPipeline {
  private:
   /// Effective thread count for a corpus of `file_count` files.
   int ResolveThreads(std::size_t file_count) const;
-  core::ConfigDialect ResolveDialect(const config::ConfigFile& file) const;
 
   /// Corpus-wide rule I7 (core::SubnetPreload): collect every file's
   /// addresses with its dialect's collector and preload the shared trie.

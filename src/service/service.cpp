@@ -167,10 +167,8 @@ void AnonymizationService::HandleAnonymize(const obs::HttpRequest& request,
       std::move(name), request.body,
       std::shared_ptr<const void>(std::shared_ptr<const void>(),
                                   request.body.data()));
-  core::ConfigDialect dialect = context_->options().dialect;
-  if (dialect == core::ConfigDialect::kAuto) {
-    dialect = core::DetectDialect(file);
-  }
+  const core::ConfigDialect dialect =
+      core::ResolveDialect(context_->options().dialect, file);
 
   // One request = one single-file corpus through the session-form
   // pipeline, under the tenant's mutex: the serialization that makes a

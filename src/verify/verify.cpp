@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "audit/refgraph.h"
+#include "audit/canonical.h"
 #include "net/ipv4.h"
 #include "net/special.h"
 #include "regex/intersect.h"
@@ -290,8 +290,9 @@ void AnalyzeTaint(const DialectPolicy& policy, audit::AuditResult& result) {
   }
 
   // T1/T2 are the only transforms covering operator-chosen names, and
-  // refgraph's nine symbol spaces are exactly where such names live.
-  // With either disabled, every space is a taint source with no sink.
+  // the audit's nine def/use symbol spaces are exactly where such names
+  // live. With either disabled, every space is a taint source with no
+  // sink.
   const bool words_covered =
       !policy.disabled_rules.contains(core::rules::kSegmentWords) &&
       !policy.disabled_rules.contains(core::rules::kPasslistHash);

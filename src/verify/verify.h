@@ -17,7 +17,7 @@
 //      other.
 //
 //   3. Taint closure over symbol spaces (VER-005..007): every one of
-//      audit/refgraph.h's nine symbol spaces can carry operator-named
+//      audit/canonical.h's nine symbol spaces can carry operator-named
 //      identifiers, whose only covering transform is T1/T2; disabling a
 //      transform rule leaves its value class uncovered, so each disabled
 //      rule is mapped to the class it covers and reported.

@@ -210,7 +210,7 @@ TEST(VerifyPolicy, DisablingWordHashUncoversEverySymbolSpace) {
   options.disabled_rules.insert(core::rules::kPasslistHash);
   const AuditResult result = verify::VerifyEngineOptions(options);
   const auto findings = FindAll(result, "VER-005");
-  // Nine refgraph symbol spaces, IOS only (JunOS has no disable surface).
+  // Nine audit symbol spaces, IOS only (JunOS has no disable surface).
   EXPECT_EQ(findings.size(), 9u) << result.ToText();
   for (const Finding* finding : findings) {
     EXPECT_EQ(finding->severity, Severity::kError);
