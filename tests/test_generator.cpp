@@ -100,6 +100,18 @@ TEST(Generator, EveryLinkSubnetHasTwoEnds) {
   }
 }
 
+TEST(Generator, HostnamesAreUniquePerNetwork) {
+  // 600 routers make 75 POPs, more than there are city codes, so POPs
+  // share a city.
+  const NetworkSpec network = GenerateNetwork(Params(600), 11);
+  ASSERT_EQ(network.routers.size(), 600u);
+  std::set<std::string> seen;
+  for (const RouterSpec& router : network.routers) {
+    EXPECT_TRUE(seen.insert(router.hostname).second)
+        << router.hostname << " duplicated";
+  }
+}
+
 TEST(Generator, AddressesAreUniquePerNetwork) {
   const NetworkSpec network = GenerateNetwork(Params(40), 9);
   std::set<std::uint32_t> seen;
