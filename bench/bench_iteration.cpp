@@ -16,6 +16,7 @@
 // pass-list nothing *leaks more* (hashing is the safe direction) but the
 // fraction of structure destroyed (words hashed) rises.
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,33 +32,33 @@ namespace {
 using namespace confanon;
 
 /// The operator oracle: which rule would handle this leaking line?
-const char* RuleForLine(const std::string& line) {
+std::optional<core::Rule> RuleForLine(const std::string& line) {
   const std::string lower = util::ToLower(line);
   if (lower.find("as-path access-list") != std::string::npos) {
-    return core::rules::kAsPathRegex;
+    return core::Rule::kAsPathRegex;
   }
   if (lower.find("community-list") != std::string::npos) {
-    return core::rules::kCommunityListRegex;
+    return core::Rule::kCommunityListRegex;
   }
   if (lower.find("set community") != std::string::npos) {
-    return core::rules::kSetCommunity;
+    return core::Rule::kSetCommunity;
   }
   if (lower.find("confederation") != std::string::npos) {
-    return core::rules::kConfedPeers;
+    return core::Rule::kConfedPeers;
   }
   if (lower.find("router bgp") != std::string::npos) {
-    return core::rules::kRouterBgp;
+    return core::Rule::kRouterBgp;
   }
   if (lower.find("remote-as") != std::string::npos) {
-    return core::rules::kNeighborRemoteAs;
+    return core::Rule::kNeighborRemoteAs;
   }
   if (lower.find("dialer") != std::string::npos) {
-    return core::rules::kDialerStrings;
+    return core::Rule::kDialerStrings;
   }
   if (lower.find("snmp") != std::string::npos) {
-    return core::rules::kSnmpStrings;
+    return core::Rule::kSnmpStrings;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -83,10 +84,10 @@ int main() {
   std::size_t total_lines = 0;
   for (const auto& file : pre) total_lines += file.LineCount();
 
-  std::set<std::string> disabled = {
-      core::rules::kRouterBgp,       core::rules::kAsPathRegex,
-      core::rules::kCommunityListRegex, core::rules::kSetCommunity,
-      core::rules::kConfedPeers,     core::rules::kSnmpStrings,
+  std::set<core::Rule> disabled = {
+      core::Rule::kRouterBgp,          core::Rule::kAsPathRegex,
+      core::Rule::kCommunityListRegex, core::Rule::kSetCommunity,
+      core::Rule::kConfedPeers,        core::Rule::kSnmpStrings,
   };
 
   std::printf("== ITER: leak-closure iteration (paper Section 6.1) ==\n");
@@ -100,7 +101,9 @@ int main() {
   for (; iterations < 10; ++iterations) {
     core::AnonymizerOptions options;
     options.salt = "iter-salt";
-    options.disabled_rules = disabled;
+    for (const core::Rule rule : disabled) {
+      options.disabled_rules.emplace(core::RuleName(rule));
+    }
     core::Anonymizer anonymizer(std::move(options));
     const auto post = anonymizer.AnonymizeNetwork(pre);
     const auto findings =
@@ -111,13 +114,13 @@ int main() {
     // highlights are number collisions — anonymized values that happen to
     // equal some recorded original (the paper's Genuity AS-1 effect,
     // amplified here because rewritten regexps contain many integers).
-    std::set<std::string> to_enable;
+    std::set<core::Rule> to_enable;
     std::size_t actionable = 0;
     for (const auto& finding : findings) {
-      const char* rule = RuleForLine(finding.line);
-      if (rule != nullptr && disabled.contains(rule)) {
+      const std::optional<core::Rule> rule = RuleForLine(finding.line);
+      if (rule && disabled.contains(*rule)) {
         ++actionable;
-        to_enable.insert(rule);
+        to_enable.insert(*rule);
       }
     }
     residual_actionable = actionable;
@@ -127,7 +130,7 @@ int main() {
                 iterations + 1, findings.size(), actionable,
                 to_enable.size());
     if (to_enable.empty()) break;
-    for (const auto& rule : to_enable) disabled.erase(rule);
+    for (const core::Rule rule : to_enable) disabled.erase(rule);
   }
 
   std::printf("\n%-40s %10s %10s\n", "metric", "paper", "measured");

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -347,7 +348,9 @@ BENCHMARK(BM_PipelineAnonymizeCorpus)
 /// registry snapshot and report become BENCH_perf.json. Kept separate
 /// from the timed benchmarks above, which run with observability off —
 /// except the wall-clock comparison, which times both paths with hooks
-/// uninstalled on the sequential side and only metrics on the pipeline.
+/// uninstalled on the sequential side and only metrics on the pipeline,
+/// and the instrumentation-overhead pair (meta observed_us and
+/// obs_overhead_pct).
 bool WritePerfJson(const std::string& path, int threads) {
   const auto pre = BenchCorpus(24);
   std::int64_t lines = 0;
@@ -393,6 +396,7 @@ bool WritePerfJson(const std::string& path, int threads) {
   };
   const std::int64_t seq_us = us(seq_start, seq_end);
   const std::int64_t par_us = std::max<std::int64_t>(us(par_start, par_end), 1);
+
   const int resolved_threads =
       threads > 0 ? threads
                   : std::max(1u, std::thread::hardware_concurrency());
@@ -403,6 +407,40 @@ bool WritePerfJson(const std::string& path, int threads) {
               static_cast<double>(seq_us) / static_cast<double>(par_us),
               identical ? "identical" : "DIVERGED");
 
+  // Instrumentation overhead: the same pipeline over the same corpus,
+  // hook-free and with metrics only (the daemon's mode), best of three
+  // each, interleaved so drift hits both sides alike. Not gated: the
+  // gated core.line_ns window times the engine's per-line work only.
+  const auto time_pipeline = [&](obs::MetricsRegistry* metrics) {
+    core::ServiceOptions run_options;
+    run_options.base = options;
+    run_options.threads = threads;
+    const auto run_context =
+        pipeline::MakeServiceContext(std::move(run_options));
+    if (metrics != nullptr) {
+      run_context->install_hooks(obs::Hooks{.metrics = metrics});
+    }
+    pipeline::CorpusPipeline run(run_context, run_context->CreateSession());
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(run.AnonymizeCorpus(pre));
+    return std::max<std::int64_t>(
+        us(start, std::chrono::steady_clock::now()), 1);
+  };
+  std::int64_t plain_us = std::numeric_limits<std::int64_t>::max();
+  std::int64_t observed_us = plain_us;
+  for (int run = 0; run < 3; ++run) {
+    plain_us = std::min(plain_us, time_pipeline(nullptr));
+    obs::MetricsRegistry run_registry;
+    observed_us = std::min(observed_us, time_pipeline(&run_registry));
+  }
+  const std::int64_t obs_overhead_pct =
+      (observed_us - plain_us) * 100 / plain_us;
+  std::printf("pipeline threads=%d: hook-free %lld us, metrics-only %lld us "
+              "(instrumentation overhead %lld%%)\n",
+              resolved_threads, static_cast<long long>(plain_us),
+              static_cast<long long>(observed_us),
+              static_cast<long long>(obs_overhead_pct));
+
   const bool wrote = bench::WriteBenchJson(
       path, "bench_perf",
       {{"routers", static_cast<std::int64_t>(pre.size())},
@@ -411,7 +449,9 @@ bool WritePerfJson(const std::string& path, int threads) {
        {"sequential_us", seq_us},
        {"parallel_us", par_us},
        {"speedup_x100", seq_us * 100 / par_us},
-       {"outputs_identical", identical ? 1 : 0}},
+       {"outputs_identical", identical ? 1 : 0},
+       {"observed_us", observed_us},
+       {"obs_overhead_pct", obs_overhead_pct}},
       registry.Snapshot(), pipe.report());
   return wrote && identical;
 }

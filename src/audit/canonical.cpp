@@ -707,7 +707,9 @@ class JunosRefs {
     if (statement_.empty()) return;
     const std::string head = util::ToLower(statement_[0]);
     const auto& s = statement_;
-    if (head == "import" || head == "export") {
+    if ((head == "from" || head == "then") && s.size() >= 2) {
+      CloseTerm(line_no);
+    } else if (head == "import" || head == "export") {
       for (std::size_t i = 1; i < s.size(); ++i) {
         if (s[i] == "[" || s[i] == "]") continue;
         Emit(SymbolSpace::kRouteMap, false, s[i], line_no);
@@ -738,6 +740,29 @@ class JunosRefs {
       Emit(SymbolSpace::kInterface, false, s[1], line_no);
     }
     statement_.clear();
+  }
+
+  /// A one-line policy term (`from prefix-list NAME;`, `then community
+  /// add NAME;`): every name after its match or action keyword, `[ ]`
+  /// lists included, is a use.
+  void CloseTerm(std::uint32_t line_no) {
+    const auto& s = statement_;
+    const std::string keyword = util::ToLower(s[1]);
+    std::size_t first = 2;
+    SymbolSpace space = SymbolSpace::kCommunityList;
+    if (keyword == "prefix-list") {
+      space = SymbolSpace::kPrefixList;
+    } else if (keyword == "as-path") {
+      space = SymbolSpace::kAsPathList;
+    } else if (keyword != "community") {
+      return;
+    } else if (s.size() >= 4) {
+      const std::string verb = util::ToLower(s[2]);
+      if (verb == "add" || verb == "set" || verb == "delete") first = 3;
+    }
+    for (std::size_t i = first; i < s.size(); ++i) {
+      Emit(space, false, s[i], line_no);
+    }
   }
 
   std::vector<RefEvent>& out_;

@@ -90,38 +90,8 @@ void IosRules::LineCtx::ReplaceTailWith(std::size_t from,
 IosRules::IosRules(AnonymizerOptions options,
                    std::shared_ptr<NetworkState> state)
     : EngineBase(kDialect, std::move(options), std::move(state)),
-      enabled_{} {
+      disabled_(RulesNamed(options_.disabled_rules)) {
   line_ctx_.arena = &arena_;
-  const auto on = [&](const char* name) {
-    return !options_.disabled_rules.contains(name);
-  };
-  enabled_.segment_words = on(rules::kSegmentWords);
-  enabled_.passlist_hash = on(rules::kPasslistHash);
-  enabled_.strip_bang_comments = on(rules::kStripBangComments);
-  enabled_.strip_free_text = on(rules::kStripFreeText);
-  enabled_.strip_banners = on(rules::kStripBanners);
-  enabled_.dialer_strings = on(rules::kDialerStrings);
-  enabled_.snmp_strings = on(rules::kSnmpStrings);
-  enabled_.secrets = on(rules::kSecrets);
-  enabled_.name_arguments = on(rules::kNameArguments);
-  enabled_.router_bgp = on(rules::kRouterBgp);
-  enabled_.neighbor_remote_as = on(rules::kNeighborRemoteAs);
-  enabled_.neighbor_local_as = on(rules::kNeighborLocalAs);
-  enabled_.confed_identifier = on(rules::kConfedIdentifier);
-  enabled_.confed_peers = on(rules::kConfedPeers);
-  enabled_.aspath_regex = on(rules::kAsPathRegex);
-  enabled_.aspath_prepend = on(rules::kAsPathPrepend);
-  enabled_.community_list_literal = on(rules::kCommunityListLiteral);
-  enabled_.community_list_regex = on(rules::kCommunityListRegex);
-  enabled_.set_community = on(rules::kSetCommunity);
-  enabled_.set_extcommunity = on(rules::kSetExtcommunity);
-  enabled_.asn_audit = on(rules::kAsnAudit);
-  enabled_.map_addresses = on(rules::kMapAddresses);
-  enabled_.special_passthrough = on(rules::kSpecialPassthrough);
-  enabled_.map_prefixes = on(rules::kMapPrefixes);
-  enabled_.address_mask_pairs = on(rules::kAddressMaskPairs);
-  enabled_.address_wildcard_pairs = on(rules::kAddressWildcardPairs);
-  enabled_.plain_address_args = on(rules::kPlainAddressArgs);
 }
 
 void IosRules::CollectFileAddresses(const config::ConfigFile& file,
@@ -158,7 +128,7 @@ void IosRules::CollectHashCandidates(const config::ConfigFile& file,
 void IosRules::BeginFile(const config::ConfigFile& file) {
   in_banner_.assign(file.lines().size(), false);
   banner_start_.assign(file.lines().size(), false);
-  if (!options_.strip_comments || !enabled_.strip_banners) return;
+  if (!options_.strip_comments || !On(Rule::kStripBanners)) return;
   for (const config::LineRegion& region : FindBannerRegions(file)) {
     for (std::size_t i = region.begin; i < region.end; ++i) {
       in_banner_[i] = true;
@@ -179,7 +149,7 @@ IosRules::Line* IosRules::RewriteLine(const config::ConfigFile& file,
     // Rule C3: the whole banner block is a comment; drop it, leaving a
     // bare '!' where it started so the block boundary stays visible.
     report_.comment_words_removed += ctx.tokens.words.size();
-    report_.CountRule(rules::kStripBanners);
+    report_.CountRule(Rule::kStripBanners);
     if (banner_start_[index]) out_lines.push_back("!");
     return nullptr;
   }
@@ -223,7 +193,7 @@ void IosRules::ApplyWordPasses(LineCtx& ctx) {
 }
 
 bool IosRules::ApplyCommentRules(std::string_view line) {
-  if (!options_.strip_comments || !enabled_.strip_bang_comments) {
+  if (!options_.strip_comments || !On(Rule::kStripBangComments)) {
     return true;
   }
   // Rule C1: '!' full-line comments. A bare '!' is a section separator and
@@ -231,7 +201,7 @@ bool IosRules::ApplyCommentRules(std::string_view line) {
   const config::SplitLine split = config::SplitConfigLine(line);
   if (!split.words.empty() && split.words[0].front() == '!') {
     if (split.words.size() > 1 || split.words[0].size() > 1) {
-      report_.CountRule(rules::kStripBangComments);
+      report_.CountRule(Rule::kStripBangComments);
       return false;  // caller replaces with bare "!"
     }
   }
@@ -239,7 +209,7 @@ bool IosRules::ApplyCommentRules(std::string_view line) {
 }
 
 void IosRules::ApplyFreeTextRules(LineCtx& ctx) {
-  if (!options_.strip_comments || !enabled_.strip_free_text) return;
+  if (!options_.strip_comments || !On(Rule::kStripFreeText)) return;
   if (ctx.tokens.words.empty()) return;
   const std::vector<std::string_view>& lower = ctx.lower;
 
@@ -264,7 +234,7 @@ void IosRules::ApplyFreeTextRules(LineCtx& ctx) {
   if (payload_from != std::string::npos &&
       payload_from < ctx.tokens.words.size()) {
     report_.comment_words_removed += ctx.tokens.words.size() - payload_from;
-    report_.CountRule(rules::kStripFreeText);
+    report_.CountRule(Rule::kStripFreeText);
     ctx.TruncateWords(payload_from);
   }
 }
@@ -282,11 +252,11 @@ std::string IosRules::MapAsnWord(std::string_view word) {
 }
 
 void IosRules::RecordAsn(std::uint32_t asn) {
-  if (asn::IsPublicAsn(asn) && enabled_.asn_audit) {
+  if (asn::IsPublicAsn(asn) && On(Rule::kAsnAudit)) {
     // Rule A12: remember every public ASN seen so the leak detector can
     // grep the anonymized output for survivors (Section 6.1).
     leak_record_.public_asns.insert(std::to_string(asn));
-    report_.CountRule(rules::kAsnAudit);
+    report_.CountRule(Rule::kAsnAudit);
   }
 }
 
@@ -298,45 +268,45 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
   const auto mark = [&](std::size_t i) { handled[i] = true; };
 
   // Rule A1: `router bgp <asn>`.
-  if (enabled_.router_bgp && words.size() >= 3 && lower[0] == "router" &&
+  if (On(Rule::kRouterBgp) && words.size() >= 3 && lower[0] == "router" &&
       lower[1] == "bgp" && util::IsAllDigits(words[2])) {
     ctx.SetWord(2, MapAsnWord(words[2]));
     mark(2);
-    report_.CountRule(rules::kRouterBgp);
+    report_.CountRule(Rule::kRouterBgp);
     return;
   }
 
   // Rules A2/A3: `neighbor <peer> remote-as|local-as <asn>`.
   if (words.size() >= 4 && lower[0] == "neighbor") {
-    if (enabled_.neighbor_remote_as && lower[2] == "remote-as" &&
+    if (On(Rule::kNeighborRemoteAs) && lower[2] == "remote-as" &&
         util::IsAllDigits(words[3])) {
       ctx.SetWord(3, MapAsnWord(words[3]));
       mark(3);
-      report_.CountRule(rules::kNeighborRemoteAs);
-    } else if (enabled_.neighbor_local_as && lower[2] == "local-as" &&
+      report_.CountRule(Rule::kNeighborRemoteAs);
+    } else if (On(Rule::kNeighborLocalAs) && lower[2] == "local-as" &&
                util::IsAllDigits(words[3])) {
       ctx.SetWord(3, MapAsnWord(words[3]));
       mark(3);
-      report_.CountRule(rules::kNeighborLocalAs);
+      report_.CountRule(Rule::kNeighborLocalAs);
     }
     return;
   }
 
   // Rules A4/A5: confederation identifier / peer list.
   if (words.size() >= 4 && lower[0] == "bgp" && lower[1] == "confederation") {
-    if (enabled_.confed_identifier && lower[2] == "identifier" &&
+    if (On(Rule::kConfedIdentifier) && lower[2] == "identifier" &&
         util::IsAllDigits(words[3])) {
       ctx.SetWord(3, MapAsnWord(words[3]));
       mark(3);
-      report_.CountRule(rules::kConfedIdentifier);
-    } else if (enabled_.confed_peers && lower[2] == "peers") {
+      report_.CountRule(Rule::kConfedIdentifier);
+    } else if (On(Rule::kConfedPeers) && lower[2] == "peers") {
       for (std::size_t i = 3; i < words.size(); ++i) {
         if (util::IsAllDigits(words[i])) {
           ctx.SetWord(i, MapAsnWord(words[i]));
           mark(i);
         }
       }
-      report_.CountRule(rules::kConfedPeers);
+      report_.CountRule(Rule::kConfedPeers);
     }
     return;
   }
@@ -344,7 +314,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
   // Rule A6: `ip as-path access-list <n> permit|deny <regex...>`. The
   // regex is the remainder of the line (it can contain spaces) and is
   // rewritten by language computation.
-  if (enabled_.aspath_regex && words.size() >= 5 && lower[0] == "ip" &&
+  if (On(Rule::kAsPathRegex) && words.size() >= 5 && lower[0] == "ip" &&
       lower[1] == "as-path" && lower[2] == "access-list" &&
       (lower[4] == "permit" || lower[4] == "deny")) {
     const std::string pattern = JoinTail(ctx.tokens, 5);
@@ -367,7 +337,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
         // pass-listed or numeric).
         ctx.ReplaceTailWith(5, result.pattern);
         ++report_.aspath_regexps_rewritten;
-        report_.CountRule(rules::kAsPathRegex);
+        report_.CountRule(Rule::kAsPathRegex);
       } else {
         // Mark regex words handled so generic hashing leaves them alone.
         for (std::size_t i = 5; i < handled.size(); ++i) handled[i] = true;
@@ -377,7 +347,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
   }
 
   // Rule A7: `set as-path prepend <asn> <asn> ...`.
-  if (enabled_.aspath_prepend && words.size() >= 4 && lower[0] == "set" &&
+  if (On(Rule::kAsPathPrepend) && words.size() >= 4 && lower[0] == "set" &&
       lower[1] == "as-path" && lower[2] == "prepend") {
     for (std::size_t i = 3; i < words.size(); ++i) {
       if (util::IsAllDigits(words[i])) {
@@ -385,7 +355,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
         mark(i);
       }
     }
-    report_.CountRule(rules::kAsPathPrepend);
+    report_.CountRule(Rule::kAsPathPrepend);
     return;
   }
 
@@ -403,7 +373,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
       for (std::size_t i = action + 1; i < words.size(); ++i) {
         if (IsCommunityKeyword(lower[i])) continue;
         const auto literal = asn::ParseCommunity(words[i]);
-        if (literal && enabled_.community_list_literal) {
+        if (literal && On(Rule::kCommunityListLiteral)) {
           RecordAsn(literal->asn);
           ctx.SetWord(i, state_->community.Map(*literal).ToString());
           mark(i);
@@ -411,7 +381,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
           any_literal = true;
           continue;
         }
-        if (!literal && enabled_.community_list_regex) {
+        if (!literal && On(Rule::kCommunityListRegex)) {
           // Expanded community-list: the remainder is one regex.
           const std::string pattern = JoinTail(ctx.tokens, i);
           asn::RewriteResult result;
@@ -426,7 +396,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
           if (result.changed) {
             ctx.ReplaceTailWith(i, result.pattern);
             ++report_.community_regexps_rewritten;
-            report_.CountRule(rules::kCommunityListRegex);
+            report_.CountRule(Rule::kCommunityListRegex);
           } else {
             for (std::size_t j = i; j < handled.size(); ++j) {
               handled[j] = true;
@@ -435,13 +405,13 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
           break;
         }
       }
-      if (any_literal) report_.CountRule(rules::kCommunityListLiteral);
+      if (any_literal) report_.CountRule(Rule::kCommunityListLiteral);
     }
     return;
   }
 
   // Rule A10: `set community <c> <c> ... [additive]`.
-  if (enabled_.set_community && words.size() >= 3 && lower[0] == "set" &&
+  if (On(Rule::kSetCommunity) && words.size() >= 3 && lower[0] == "set" &&
       lower[1] == "community") {
     bool fired = false;
     for (std::size_t i = 2; i < words.size(); ++i) {
@@ -470,12 +440,12 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
         }
       }
     }
-    if (fired) report_.CountRule(rules::kSetCommunity);
+    if (fired) report_.CountRule(Rule::kSetCommunity);
     return;
   }
 
   // Rule A11: `set extcommunity rt|soo <asn:val> ...`.
-  if (enabled_.set_extcommunity && words.size() >= 4 && lower[0] == "set" &&
+  if (On(Rule::kSetExtcommunity) && words.size() >= 4 && lower[0] == "set" &&
       lower[1] == "extcommunity") {
     bool fired = false;
     for (std::size_t i = 3; i < words.size(); ++i) {
@@ -487,7 +457,7 @@ void IosRules::ApplyAsnLineRules(LineCtx& ctx) {
         fired = true;
       }
     }
-    if (fired) report_.CountRule(rules::kSetExtcommunity);
+    if (fired) report_.CountRule(Rule::kSetExtcommunity);
     return;
   }
 }
@@ -513,7 +483,7 @@ void IosRules::ApplyMiscLineRules(LineCtx& ctx) {
   const std::vector<std::string_view>& lower = ctx.lower;
   auto& handled = ctx.handled;
 
-  const auto force_hash = [&](std::size_t i, const char* rule) {
+  const auto force_hash = [&](std::size_t i, Rule rule) {
     if (i >= words.size() || handled[i]) return;
     if (!pass_list_.Contains(words[i])) {
       leak_record_.hashed_words.insert(std::string(words[i]));
@@ -527,21 +497,21 @@ void IosRules::ApplyMiscLineRules(LineCtx& ctx) {
   };
 
   // Rule M1: dial strings are phone numbers.
-  if (enabled_.dialer_strings && words.size() >= 3 && lower[0] == "dialer" &&
+  if (On(Rule::kDialerStrings) && words.size() >= 3 && lower[0] == "dialer" &&
       (lower[1] == "string" || lower[1] == "called" ||
        lower[1] == "caller")) {
     leak_record_.hashed_words.insert(std::string(words[2]));
     ctx.SetWord(2, PseudoDigits(options_.salt, words[2]));
     handled[2] = true;
-    report_.CountRule(rules::kDialerStrings);
+    report_.CountRule(Rule::kDialerStrings);
     return;
   }
 
   // Rule M2: SNMP strings (community secrets, contact/location prose).
   if (lower[0] == "snmp-server" && words.size() >= 2 &&
-      enabled_.snmp_strings) {
+      On(Rule::kSnmpStrings)) {
     if (lower[1] == "community" && words.size() >= 3) {
-      force_hash(2, rules::kSnmpStrings);
+      force_hash(2, Rule::kSnmpStrings);
       return;
     }
     if ((lower[1] == "contact" || lower[1] == "location" ||
@@ -549,29 +519,29 @@ void IosRules::ApplyMiscLineRules(LineCtx& ctx) {
         words.size() >= 3 && options_.strip_comments) {
       report_.comment_words_removed += words.size() - 2;
       ctx.TruncateWords(2);
-      report_.CountRule(rules::kSnmpStrings);
+      report_.CountRule(Rule::kSnmpStrings);
       return;
     }
     if (lower[1] == "host" && words.size() >= 4) {
       // `snmp-server host <addr|name> <community>`: the trap community is
       // a secret; the host is handled by the IP pass or hashed below.
-      force_hash(3, rules::kSnmpStrings);
+      force_hash(3, Rule::kSnmpStrings);
       return;
     }
   }
 
   // Rule M3: passwords and keys.
-  if (enabled_.secrets) {
+  if (On(Rule::kSecrets)) {
     if (lower[0] == "enable" && words.size() >= 2 &&
         (lower[1] == "secret" || lower[1] == "password")) {
-      force_hash(words.size() - 1, rules::kSecrets);
+      force_hash(words.size() - 1, Rule::kSecrets);
       return;
     }
     if (lower[0] == "username" && words.size() >= 2) {
-      force_hash(1, rules::kSecrets);
+      force_hash(1, Rule::kSecrets);
       for (std::size_t i = 2; i + 1 < words.size(); ++i) {
         if (lower[i] == "password" || lower[i] == "secret") {
-          force_hash(words.size() - 1, rules::kSecrets);
+          force_hash(words.size() - 1, Rule::kSecrets);
           break;
         }
       }
@@ -579,29 +549,29 @@ void IosRules::ApplyMiscLineRules(LineCtx& ctx) {
     }
     if (lower[0] == "neighbor" && words.size() >= 4 &&
         lower[2] == "password") {
-      force_hash(words.size() - 1, rules::kSecrets);
+      force_hash(words.size() - 1, Rule::kSecrets);
       return;
     }
     if (lower[0] == "key-string" && words.size() >= 2) {
-      force_hash(1, rules::kSecrets);
+      force_hash(1, Rule::kSecrets);
       return;
     }
     if ((lower[0] == "tacacs-server" || lower[0] == "radius-server") &&
         words.size() >= 3 && lower[1] == "key") {
-      force_hash(2, rules::kSecrets);
+      force_hash(2, Rule::kSecrets);
       return;
     }
     if (lower[0] == "crypto" && words.size() >= 4 && lower[1] == "isakmp" &&
         lower[2] == "key") {
       // `crypto isakmp key SECRET address A.B.C.D`: the pre-shared key is
       // a secret; the peer address is handled by the IP pass.
-      force_hash(3, rules::kSecrets);
+      force_hash(3, Rule::kSecrets);
       return;
     }
     for (std::size_t i = 0; i + 1 < words.size(); ++i) {
       if (lower[i] == "md5" || lower[i] == "authentication-key" ||
           lower[i] == "key-chain") {
-        force_hash(i + 1, rules::kSecrets);
+        force_hash(i + 1, Rule::kSecrets);
         return;
       }
     }
@@ -609,25 +579,25 @@ void IosRules::ApplyMiscLineRules(LineCtx& ctx) {
 
   // Rule M4: name arguments — commands whose argument is a hostname or
   // domain name that must be anonymized even if its words are innocuous.
-  if (enabled_.name_arguments) {
+  if (On(Rule::kNameArguments)) {
     if (lower[0] == "hostname" && words.size() >= 2) {
-      force_hash(1, rules::kNameArguments);
+      force_hash(1, Rule::kNameArguments);
       return;
     }
     if (lower[0] == "ip" && words.size() >= 3 &&
         (lower[1] == "domain-name" ||
          (lower[1] == "domain" && words.size() >= 4 &&
           lower[2] == "name"))) {
-      force_hash(words.size() - 1, rules::kNameArguments);
+      force_hash(words.size() - 1, Rule::kNameArguments);
       return;
     }
     if (lower[0] == "ip" && lower.size() >= 3 && lower[1] == "host") {
-      force_hash(2, rules::kNameArguments);
+      force_hash(2, Rule::kNameArguments);
       return;
     }
     if (lower[0] == "ntp" && words.size() >= 3 && lower[1] == "server" &&
         !net::Ipv4Address::Parse(words[2])) {
-      force_hash(2, rules::kNameArguments);
+      force_hash(2, Rule::kNameArguments);
       return;
     }
   }
@@ -642,17 +612,17 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
   // Context accounting for rules I4/I5/I6 (the mapping operation itself is
   // uniform; the context rules exist so the operator-facing report shows
   // which syntactic positions were handled).
-  const char* context_rule = nullptr;
+  std::optional<Rule> context_rule;
   if (lower[0] == "ip" && lower.size() >= 2 &&
       (lower[1] == "address" || lower[1] == "route")) {
-    context_rule = rules::kAddressMaskPairs;
+    context_rule = Rule::kAddressMaskPairs;
   } else if (lower[0] == "access-list" ||
              (lower[0] == "network" && words.size() >= 3)) {
-    context_rule = rules::kAddressWildcardPairs;
+    context_rule = Rule::kAddressWildcardPairs;
   } else if (lower[0] == "ntp" || lower[0] == "logging" ||
              lower[0] == "tacacs-server" || lower[0] == "radius-server" ||
              lower[0] == "snmp-server") {
-    context_rule = rules::kPlainAddressArgs;
+    context_rule = Rule::kPlainAddressArgs;
   }
 
   // Fused traversal: for each token, the IP rules run first; whatever
@@ -667,7 +637,7 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
       // mapped (it may carry host bits, e.g. a JunOS-style interface
       // address) and the length is kept verbatim.
       bool ip_done = false;
-      if (enabled_.map_prefixes) {
+      if (On(Rule::kMapPrefixes)) {
         const std::size_t slash = words[i].find('/');
         if (slash != std::string::npos) {
           const auto address =
@@ -678,7 +648,7 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
             if (net::IsSpecial(*address)) {
               handled[i] = true;
               ++report_.addresses_special;
-              report_.CountRule(rules::kSpecialPassthrough);
+              report_.CountRule(Rule::kSpecialPassthrough);
               ip_done = true;
             } else {
               leak_record_.addresses.insert(address->ToString());
@@ -686,7 +656,7 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
                                  std::to_string(length));
               handled[i] = true;
               ++report_.addresses_mapped;
-              report_.CountRule(rules::kMapPrefixes);
+              report_.CountRule(Rule::kMapPrefixes);
               fired_context = true;
               ip_done = true;
             }
@@ -698,19 +668,19 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
           // Rule I2: special addresses (netmasks, wildcard masks,
           // multicast, loopback, ...) pass through unchanged.
           if (net::IsSpecial(*address)) {
-            if (enabled_.special_passthrough) {
+            if (On(Rule::kSpecialPassthrough)) {
               handled[i] = true;
               ++report_.addresses_special;
-              report_.CountRule(rules::kSpecialPassthrough);
+              report_.CountRule(Rule::kSpecialPassthrough);
             }
-          } else if (enabled_.map_addresses) {
+          } else if (On(Rule::kMapAddresses)) {
             // Rule I1: everything else is mapped through the
             // prefix-preserving trie.
             leak_record_.addresses.insert(address->ToString());
             ctx.SetWord(i, state_->ip.Map(*address).ToString());
             handled[i] = true;
             ++report_.addresses_mapped;
-            report_.CountRule(rules::kMapAddresses);
+            report_.CountRule(Rule::kMapAddresses);
             fired_context = true;
           }
         }
@@ -732,7 +702,7 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
         break;
       }
     }
-    report_.CountRule(rules::kSegmentWords);
+    report_.CountRule(Rule::kSegmentWords);
     if (all_passed) {
       ++report_.words_passed;
       continue;
@@ -740,10 +710,10 @@ void IosRules::ApplyTokenRules(LineCtx& ctx) {
     leak_record_.hashed_words.insert(std::string(word));
     HashWord(ctx, i);
     ++report_.words_hashed;
-    report_.CountRule(rules::kPasslistHash);
+    report_.CountRule(Rule::kPasslistHash);
   }
-  if (fired_context && context_rule != nullptr) {
-    report_.CountRule(context_rule);
+  if (fired_context && context_rule) {
+    report_.CountRule(*context_rule);
   }
 }
 

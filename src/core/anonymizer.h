@@ -23,7 +23,8 @@
 // (Section 4.2 counts them: 2 tokenization + 3 comment + 4 miscellaneous
 // + 12 ASN-location + 7 IP/context rules) applied line by line, with no
 // full grammar — by design, since no consistent grammar exists across the
-// 200+ IOS versions the tool must survive (Section 3).
+// 200+ IOS versions the tool must survive (Section 3). The rules are named
+// in core/rules.h.
 //
 // This header is the IOS rule pack (IosRules); core::Anonymizer is the
 // one engine (core/engine.h) instantiated over it. All mapping state
@@ -46,49 +47,12 @@
 #include "config/tokenizer.h"
 #include "core/engine.h"
 #include "core/options.h"
+#include "core/rules.h"
 #include "net/ipv4.h"
 #include "passlist/passlist.h"
 #include "util/arena.h"
 
 namespace confanon::core {
-
-/// Stable rule names (also the keys in AnonymizationReport::rule_fires).
-/// See Section 4.2's accounting of the 28 rules.
-namespace rules {
-// Tokenization (2)
-inline constexpr char kSegmentWords[] = "T1.segment-words";
-inline constexpr char kPasslistHash[] = "T2.passlist-hash";
-// Comment stripping (3)
-inline constexpr char kStripBangComments[] = "C1.strip-bang-comments";
-inline constexpr char kStripFreeText[] = "C2.strip-free-text";
-inline constexpr char kStripBanners[] = "C3.strip-banners";
-// Miscellaneous (4)
-inline constexpr char kDialerStrings[] = "M1.dialer-strings";
-inline constexpr char kSnmpStrings[] = "M2.snmp-strings";
-inline constexpr char kSecrets[] = "M3.secrets";
-inline constexpr char kNameArguments[] = "M4.name-arguments";
-// ASN location (12)
-inline constexpr char kRouterBgp[] = "A1.router-bgp";
-inline constexpr char kNeighborRemoteAs[] = "A2.neighbor-remote-as";
-inline constexpr char kNeighborLocalAs[] = "A3.neighbor-local-as";
-inline constexpr char kConfedIdentifier[] = "A4.confederation-identifier";
-inline constexpr char kConfedPeers[] = "A5.confederation-peers";
-inline constexpr char kAsPathRegex[] = "A6.as-path-regex";
-inline constexpr char kAsPathPrepend[] = "A7.as-path-prepend";
-inline constexpr char kCommunityListLiteral[] = "A8.community-list-literal";
-inline constexpr char kCommunityListRegex[] = "A9.community-list-regex";
-inline constexpr char kSetCommunity[] = "A10.set-community";
-inline constexpr char kSetExtcommunity[] = "A11.set-extcommunity";
-inline constexpr char kAsnAudit[] = "A12.asn-audit";
-// IP handling (7)
-inline constexpr char kMapAddresses[] = "I1.map-addresses";
-inline constexpr char kSpecialPassthrough[] = "I2.special-passthrough";
-inline constexpr char kMapPrefixes[] = "I3.map-cidr-prefixes";
-inline constexpr char kAddressMaskPairs[] = "I4.address-mask-pairs";
-inline constexpr char kAddressWildcardPairs[] = "I5.address-wildcard-pairs";
-inline constexpr char kPlainAddressArgs[] = "I6.plain-address-args";
-inline constexpr char kSubnetPreload[] = "I7.subnet-preload";
-}  // namespace rules
 
 /// The IOS rule pack driven by core::Engine (see core/engine.h).
 class IosRules : public EngineBase {
@@ -110,7 +74,7 @@ class IosRules : public EngineBase {
       .timing_prefix = "core.",
       .network_span = "anonymize-network",
       .preload_span = "preload.I7",
-      .preload_rule = rules::kSubnetPreload,
+      .preload_rule = Rule::kSubnetPreload,
       .rewrite_metrics = true,
       .pass_list = &BasePassList,
       .collect_addresses = &CollectFileAddresses,
@@ -161,19 +125,10 @@ class IosRules : public EngineBase {
     void ReplaceTailWith(std::size_t from, std::string_view replacement);
   };
 
-  /// The rule-enabled predicate, resolved once at construction so the
-  /// per-token hot paths test a bool instead of probing a set<string>.
-  struct EnabledRules {
-    bool segment_words, passlist_hash;
-    bool strip_bang_comments, strip_free_text, strip_banners;
-    bool dialer_strings, snmp_strings, secrets, name_arguments;
-    bool router_bgp, neighbor_remote_as, neighbor_local_as;
-    bool confed_identifier, confed_peers, aspath_regex, aspath_prepend;
-    bool community_list_literal, community_list_regex;
-    bool set_community, set_extcommunity, asn_audit;
-    bool map_addresses, special_passthrough, map_prefixes;
-    bool address_mask_pairs, address_wildcard_pairs, plain_address_args;
-  };
+  /// Whether rule `rule` runs: options.disabled_rules, resolved once at
+  /// construction so the per-token hot paths test a bit instead of
+  /// probing a set<string>.
+  bool On(Rule rule) const { return !disabled_[RuleIndex(rule)]; }
 
   /// Comment rules (C1). Returns false when the whole line collapses to
   /// a '!' comment.
@@ -206,7 +161,7 @@ class IosRules : public EngineBase {
   std::string MapAsnWord(std::string_view word);
   void RecordAsn(std::uint32_t asn);
 
-  EnabledRules enabled_;
+  const RuleSet disabled_;
   /// Banner regions of the current file (rule C3).
   std::vector<bool> in_banner_;
   std::vector<bool> banner_start_;

@@ -9,7 +9,7 @@ void SubnetPreload::Add(const DialectDescriptor& dialect,
   if (!Enabled(dialect, *options_)) return;
   const std::size_t before = addresses_.size();
   dialect.collect_addresses(file, addresses_);
-  if (dialect.preload_rule != nullptr) {
+  if (dialect.preload_rule) {
     rule_ = dialect.preload_rule;
     counted_ += addresses_.size() - before;
   }
@@ -18,8 +18,8 @@ void SubnetPreload::Add(const DialectDescriptor& dialect,
 std::optional<std::uint64_t> SubnetPreload::Commit(
     NetworkState& state, AnonymizationReport& report) {
   std::optional<std::uint64_t> counted;
-  if (rule_ != nullptr) {
-    report.CountRule(rule_, counted_);
+  if (rule_) {
+    report.CountRule(*rule_, counted_);
     counted = counted_;
   }
   state.ip.Preload(std::move(addresses_));
@@ -30,14 +30,11 @@ std::optional<std::uint64_t> SubnetPreload::Commit(
 void SyncTrieDeltas(const ipanon::IpAnonymizer& ip,
                     ipanon::IpAnonymizer::Stats& base,
                     obs::MetricsRegistry& registry, std::string_view prefix) {
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& synced) {
-    if (current > synced) {
-      registry.CounterNamed(std::string(prefix) + name).Add(current - synced);
-      synced = current;
-    }
-  };
   const ipanon::IpAnonymizer::Stats stats = ip.stats();
+  const auto sync = [&](std::string_view name, std::uint64_t current,
+                        std::uint64_t& synced) {
+    SyncCounter(registry, prefix, name, current, synced);
+  };
   sync("ipanon.cache_hits", stats.cache_hits, base.cache_hits);
   sync("ipanon.cache_misses", stats.cache_misses, base.cache_misses);
   sync("ipanon.collision_walks", stats.collision_walks, base.collision_walks);
@@ -141,17 +138,12 @@ void EngineBase::SyncMetrics() {
   if (metrics_ == nullptr) return;
   const std::string prefix(dialect_.metric_prefix);
   SyncReportDeltas(report_, synced_report_, *metrics_, prefix);
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      metrics_->CounterNamed(prefix + name).Add(current - base);
-      base = current;
-    }
-  };
   // The arena is engine-local (one per worker), so its counters sync
   // here even under a shared NetworkState.
-  sync("arena.bytes", arena_.bytes_allocated(), synced_arena_bytes_);
-  sync("arena.resets", arena_.resets(), synced_arena_resets_);
+  SyncCounter(*metrics_, prefix, "arena.bytes", arena_.bytes_allocated(),
+              synced_arena_bytes_);
+  SyncCounter(*metrics_, prefix, "arena.resets", arena_.resets(),
+              synced_arena_resets_);
   // A shared trie belongs to the pipeline's NetworkState; per-worker
   // delta syncs would double count, so the pipeline syncs it centrally.
   if (!shared_state_) {
@@ -174,8 +166,8 @@ void EngineBase::RecordRewrite(const asn::RewriteResult& result) {
 
 EngineBase::FileSpan EngineBase::BeginFileSpan() {
   FileSpan span;
-  span.observing =
-      tracer_.enabled() || provenance_ != nullptr || metrics_ != nullptr;
+  span.attributing = tracer_.enabled() || provenance_ != nullptr;
+  span.observing = span.attributing || metrics_ != nullptr;
   span.start_us = tracer_.enabled() ? tracer_.NowUs() : 0;
   span.start = std::chrono::steady_clock::now();
   return span;
@@ -198,12 +190,15 @@ void EngineBase::EndFileSpan(const config::ConfigFile& file,
     // nest them under it (timestamp containment). Positions within the
     // file are synthetic; durations are the measured aggregates.
     std::int64_t cursor = span.start_us;
-    for (const auto& [rule, ns] : span.rule_ns) {
+    for (std::size_t i = 0; i < kRuleCount; ++i) {
+      const std::uint64_t ns = span.rule_ns[i];
+      if (ns == 0) continue;
       std::int64_t duration =
           std::max<std::int64_t>(static_cast<std::int64_t>(ns) / 1000, 1);
       duration =
           std::min(duration, std::max<std::int64_t>(file_end_us - cursor, 1));
-      tracer_.Complete("rule:" + rule, cursor, duration, "anonymize");
+      tracer_.Complete("rule:" + std::string(kRuleNames[i]), cursor, duration,
+                       "anonymize");
       cursor = std::min(cursor + duration, file_end_us - 1);
     }
     tracer_.Complete("file:" + file.name(), span.start_us,

@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -51,6 +50,7 @@
 #include "core/network_state.h"
 #include "core/options.h"
 #include "core/report.h"
+#include "core/rules.h"
 #include "core/session.h"
 #include "core/string_hasher.h"
 #include "ipanon/ip_anonymizer.h"
@@ -77,10 +77,10 @@ struct DialectDescriptor {
   /// Trace span names of AnonymizeNetwork and of its corpus preload.
   const char* network_span;
   const char* preload_span;
-  /// The rule I7 is accounted under. A named rule honours
+  /// The rule I7 is accounted under. A rule honours
   /// AnonymizerOptions::disabled_rules and counts the preloaded
-  /// addresses; nullptr preloads unconditionally and uncounted.
-  const char* preload_rule;
+  /// addresses; nullopt preloads unconditionally and uncounted.
+  std::optional<Rule> preload_rule;
   /// Whether the rule pack feeds the asn.rewrite_* instruments.
   bool rewrite_metrics;
   /// The pass-list baseline; the engine merges extra_pass_list on top.
@@ -112,8 +112,8 @@ class SubnetPreload {
   /// Whether `dialect` preloads under `options`.
   static bool Enabled(const DialectDescriptor& dialect,
                       const AnonymizerOptions& options) {
-    return dialect.preload_rule == nullptr ||
-           !options.disabled_rules.contains(dialect.preload_rule);
+    const std::optional<Rule>& rule = dialect.preload_rule;
+    return !rule || !RulesNamed(options.disabled_rules)[RuleIndex(*rule)];
   }
 
   /// Collects `file`'s addresses with `dialect`'s collector, if enabled.
@@ -131,7 +131,7 @@ class SubnetPreload {
  private:
   const AnonymizerOptions* options_;
   std::vector<net::Ipv4Address> addresses_;
-  const char* rule_ = nullptr;
+  std::optional<Rule> rule_;
   std::uint64_t counted_ = 0;
 };
 
@@ -241,12 +241,16 @@ class EngineBase {
   /// Per-file observation: the file's latency, its trace span with the
   /// per-rule spans nested inside, and a metrics sync.
   struct FileSpan {
+    /// Any hook installed: lines go through ObserveLine.
     bool observing = false;
+    /// A trace or provenance log installed: ObserveLine works out which
+    /// rules fired on each line. Metrics alone need only the latency.
+    bool attributing = false;
     std::int64_t start_us = 0;
     std::chrono::steady_clock::time_point start;
     /// Per-rule processing time (traced runs only): the cost of each
     /// line is attributed to the rules that fired on it.
-    std::map<std::string, std::uint64_t> rule_ns;
+    RuleCounts rule_ns{};
   };
   FileSpan BeginFileSpan();
   void EndFileSpan(const config::ConfigFile& file, const FileSpan& span);
@@ -328,11 +332,12 @@ class Engine : public RulePack {
   /// hash tokens are pending — deferral, then the batcher flush policy.
   void AnonymizeLine(const config::ConfigFile& file, std::size_t index,
                      std::vector<std::string>& out_lines);
-  /// AnonymizeLine wrapped in timing + rule-fire attribution; accumulates
-  /// per-rule nanoseconds into `rule_ns` and feeds the provenance log.
+  /// AnonymizeLine wrapped in timing and, when `span` is attributing,
+  /// rule-fire attribution: accumulates per-rule nanoseconds into
+  /// `span.rule_ns` and feeds the provenance log.
   void ObserveLine(const config::ConfigFile& file, std::size_t index,
                    std::vector<std::string>& out_lines,
-                   std::map<std::string, std::uint64_t>& rule_ns);
+                   EngineBase::FileSpan& span);
   /// Renders every deferred line whose pending words have all been
   /// resolved by a flush, patching its placeholder in `out_lines`.
   void DrainDeferred(std::vector<std::string>& out_lines);
@@ -377,7 +382,7 @@ config::ConfigFile Engine<RulePack>::AnonymizeFile(
   auto span = this->BeginFileSpan();
   for (std::size_t index = 0; index < file.lines().size(); ++index) {
     if (span.observing) {
-      ObserveLine(file, index, out_lines, span.rule_ns);
+      ObserveLine(file, index, out_lines, span);
     } else {
       AnonymizeLine(file, index, out_lines);
     }
@@ -435,14 +440,15 @@ void Engine<RulePack>::DrainDeferred(std::vector<std::string>& out_lines) {
 }
 
 template <class RulePack>
-void Engine<RulePack>::ObserveLine(
-    const config::ConfigFile& file, std::size_t index,
-    std::vector<std::string>& out_lines,
-    std::map<std::string, std::uint64_t>& rule_ns) {
-  AnonymizationReport& report = this->report_;
+void Engine<RulePack>::ObserveLine(const config::ConfigFile& file,
+                                   std::size_t index,
+                                   std::vector<std::string>& out_lines,
+                                   EngineBase::FileSpan& span) {
+  const AnonymizationReport& report = this->report_;
   const std::uint64_t words_before = report.total_words;
   const std::size_t out_count = out_lines.size();
-  const std::map<std::string, std::uint64_t> fires_before = report.rule_fires;
+  const RuleCounts fires_before =
+      span.attributing ? report.rule_fires : RuleCounts{};
   const auto t0 = std::chrono::steady_clock::now();
 
   AnonymizeLine(file, index, out_lines);
@@ -452,29 +458,26 @@ void Engine<RulePack>::ObserveLine(
           std::chrono::steady_clock::now() - t0)
           .count());
   if (this->line_hist_ != nullptr) this->line_hist_->Record(elapsed_ns);
+  if (!span.attributing) return;
 
+  // Rules whose fire count advanced during this line.
+  std::size_t fired = 0;
+  for (std::size_t i = 0; i < kRuleCount; ++i) {
+    if (report.rule_fires[i] != fires_before[i]) ++fired;
+  }
+  if (fired == 0) return;
   const auto tokens_before =
       static_cast<std::uint32_t>(report.total_words - words_before);
   const auto tokens_after = static_cast<std::uint32_t>(
-      out_lines.size() > out_count ? util::SplitWords(out_lines.back()).size()
-                                   : 0);
-
-  // Rules whose fire count advanced during this line.
-  std::vector<const std::string*> fired;
-  for (const auto& [name, count] : report.rule_fires) {
-    const auto before = fires_before.find(name);
-    if (before == fires_before.end() || before->second != count) {
-      fired.push_back(&name);
-    }
-  }
-  if (fired.empty()) return;
-  const std::uint64_t share = elapsed_ns / fired.size();
-  for (const std::string* rule : fired) {
-    if (this->tracer_.enabled()) rule_ns[*rule] += share;
+      out_lines.size() > out_count ? util::CountWords(out_lines.back()) : 0);
+  const std::uint64_t share = elapsed_ns / fired;
+  for (std::size_t i = 0; i < kRuleCount; ++i) {
+    if (report.rule_fires[i] == fires_before[i]) continue;
+    if (this->tracer_.enabled()) span.rule_ns[i] += share;
     if (this->provenance_ != nullptr) {
       this->provenance_->Record(obs::ProvenanceEntry{
-          file.name(), static_cast<std::uint64_t>(index), *rule,
-          tokens_before, tokens_after});
+          file.name(), static_cast<std::uint64_t>(index),
+          std::string(kRuleNames[i]), tokens_before, tokens_after});
     }
   }
 }

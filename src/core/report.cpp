@@ -2,24 +2,37 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 namespace confanon::core {
 
+namespace {
+
+using Report = AnonymizationReport;
+
+/// The scalar counters by name, in declaration order.
+constexpr std::pair<std::string_view, std::uint64_t Report::*> kScalars[] = {
+    {"total_lines", &Report::total_lines},
+    {"total_words", &Report::total_words},
+    {"comment_words_removed", &Report::comment_words_removed},
+    {"words_hashed", &Report::words_hashed},
+    {"words_passed", &Report::words_passed},
+    {"addresses_mapped", &Report::addresses_mapped},
+    {"addresses_special", &Report::addresses_special},
+    {"asns_mapped", &Report::asns_mapped},
+    {"communities_mapped", &Report::communities_mapped},
+    {"aspath_regexps_rewritten", &Report::aspath_regexps_rewritten},
+    {"community_regexps_rewritten", &Report::community_regexps_rewritten},
+};
+
+}  // namespace
+
 void AnonymizationReport::Merge(const AnonymizationReport& other) {
-  for (const auto& [name, count] : other.rule_fires) {
-    rule_fires[name] += count;
+  for (const auto& [name, field] : kScalars) this->*field += other.*field;
+  for (std::size_t i = 0; i < kRuleCount; ++i) {
+    rule_fires[i] += other.rule_fires[i];
   }
-  total_lines += other.total_lines;
-  total_words += other.total_words;
-  comment_words_removed += other.comment_words_removed;
-  words_hashed += other.words_hashed;
-  words_passed += other.words_passed;
-  addresses_mapped += other.addresses_mapped;
-  addresses_special += other.addresses_special;
-  asns_mapped += other.asns_mapped;
-  communities_mapped += other.communities_mapped;
-  aspath_regexps_rewritten += other.aspath_regexps_rewritten;
-  community_regexps_rewritten += other.community_regexps_rewritten;
 }
 
 std::string AnonymizationReport::ToString() const {
@@ -45,29 +58,24 @@ std::string AnonymizationReport::ToString() const {
       << "aspath_regexps_rewritten=" << aspath_regexps_rewritten
       << " community_regexps_rewritten=" << community_regexps_rewritten
       << "\n";
-  for (const auto& [name, count] : rule_fires) {
-    out << "  rule " << name << ": " << count << "\n";
+  for (std::size_t i = 0; i < kRuleCount; ++i) {
+    if (rule_fires[i] == 0) continue;
+    out << "  rule " << kRuleNames[i] << ": " << rule_fires[i] << "\n";
   }
   return out.str();
 }
 
 void AnonymizationReport::WriteJson(obs::JsonWriter& out) const {
   out.BeginObject();
-  out.Key("total_lines").Value(total_lines);
-  out.Key("total_words").Value(total_words);
-  out.Key("comment_words_removed").Value(comment_words_removed);
-  out.Key("comment_word_fraction").Value(CommentWordFraction());
-  out.Key("words_hashed").Value(words_hashed);
-  out.Key("words_passed").Value(words_passed);
-  out.Key("addresses_mapped").Value(addresses_mapped);
-  out.Key("addresses_special").Value(addresses_special);
-  out.Key("asns_mapped").Value(asns_mapped);
-  out.Key("communities_mapped").Value(communities_mapped);
-  out.Key("aspath_regexps_rewritten").Value(aspath_regexps_rewritten);
-  out.Key("community_regexps_rewritten").Value(community_regexps_rewritten);
+  for (const auto& [name, field] : kScalars) {
+    out.Key(name).Value(this->*field);
+    if (field == &Report::comment_words_removed) {
+      out.Key("comment_word_fraction").Value(CommentWordFraction());
+    }
+  }
   out.Key("rule_fires").BeginObject();
-  for (const auto& [name, count] : rule_fires) {
-    out.Key(name).Value(count);
+  for (std::size_t i = 0; i < kRuleCount; ++i) {
+    if (rule_fires[i] != 0) out.Key(kRuleNames[i]).Value(rule_fires[i]);
   }
   out.EndObject();
   out.EndObject();
@@ -79,40 +87,28 @@ std::string AnonymizationReport::ToJson() const {
   return out.Take();
 }
 
+void SyncCounter(obs::MetricsRegistry& registry, std::string_view prefix,
+                 std::string_view name, std::uint64_t current,
+                 std::uint64_t& synced) {
+  if (current <= synced) return;
+  std::string full(prefix);
+  full += name;
+  registry.CounterNamed(full).Add(current - synced);
+  synced = current;
+}
+
 void SyncReportDeltas(const AnonymizationReport& current,
                       AnonymizationReport& base,
                       obs::MetricsRegistry& registry,
                       const std::string& prefix) {
-  const auto sync = [&](const char* name, std::uint64_t value,
-                        std::uint64_t& prev) {
-    if (value > prev) {
-      registry.CounterNamed(prefix + ("report." + std::string(name)))
-          .Add(value - prev);
-      prev = value;
-    }
-  };
-  sync("total_lines", current.total_lines, base.total_lines);
-  sync("total_words", current.total_words, base.total_words);
-  sync("comment_words_removed", current.comment_words_removed,
-       base.comment_words_removed);
-  sync("words_hashed", current.words_hashed, base.words_hashed);
-  sync("words_passed", current.words_passed, base.words_passed);
-  sync("addresses_mapped", current.addresses_mapped, base.addresses_mapped);
-  sync("addresses_special", current.addresses_special,
-       base.addresses_special);
-  sync("asns_mapped", current.asns_mapped, base.asns_mapped);
-  sync("communities_mapped", current.communities_mapped,
-       base.communities_mapped);
-  sync("aspath_regexps_rewritten", current.aspath_regexps_rewritten,
-       base.aspath_regexps_rewritten);
-  sync("community_regexps_rewritten", current.community_regexps_rewritten,
-       base.community_regexps_rewritten);
-  for (const auto& [name, count] : current.rule_fires) {
-    std::uint64_t& prev = base.rule_fires[name];
-    if (count > prev) {
-      registry.CounterNamed(prefix + ("rule." + name)).Add(count - prev);
-      prev = count;
-    }
+  const std::string scalars = prefix + "report.";
+  for (const auto& [name, field] : kScalars) {
+    SyncCounter(registry, scalars, name, current.*field, base.*field);
+  }
+  const std::string rules = prefix + "rule.";
+  for (std::size_t i = 0; i < kRuleCount; ++i) {
+    SyncCounter(registry, rules, kRuleNames[i], current.rule_fires[i],
+                base.rule_fires[i]);
   }
 }
 

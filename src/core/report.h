@@ -6,17 +6,18 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
 
+#include "core/rules.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace confanon::core {
 
 struct AnonymizationReport {
-  /// How many times each named rule changed something.
-  std::map<std::string, std::uint64_t> rule_fires;
+  /// How many times each rule changed something, indexed by Rule.
+  RuleCounts rule_fires{};
 
   std::uint64_t total_lines = 0;
   std::uint64_t total_words = 0;
@@ -38,9 +39,10 @@ struct AnonymizationReport {
   std::uint64_t aspath_regexps_rewritten = 0;
   std::uint64_t community_regexps_rewritten = 0;
 
-  void CountRule(const std::string& rule_name, std::uint64_t n = 1) {
-    rule_fires[rule_name] += n;
+  void CountRule(Rule rule, std::uint64_t n = 1) {
+    rule_fires[RuleIndex(rule)] += n;
   }
+  std::uint64_t fires(Rule rule) const { return rule_fires[RuleIndex(rule)]; }
 
   double CommentWordFraction() const {
     return total_words == 0
@@ -56,12 +58,19 @@ struct AnonymizationReport {
   std::string ToString() const;
 
   /// Writes the report as one JSON object: every scalar field by name,
-  /// `comment_word_fraction`, and a `rule_fires` sub-object keyed by rule
-  /// name. This is the machine-readable counterpart of ToString() and the
-  /// shape embedded in BENCH_perf.json.
+  /// `comment_word_fraction`, and a `rule_fires` sub-object mapping the
+  /// name of every rule that fired to its count, in name order. This is
+  /// the machine-readable counterpart of ToString() and the shape
+  /// embedded in BENCH_perf.json.
   void WriteJson(obs::JsonWriter& out) const;
   std::string ToJson() const;
 };
+
+/// Adds `current - synced` to the counter `<prefix><name>` of `registry`
+/// and advances `synced`, when `current` has moved past it.
+void SyncCounter(obs::MetricsRegistry& registry, std::string_view prefix,
+                 std::string_view name, std::uint64_t current,
+                 std::uint64_t& synced);
 
 /// Pushes the delta between `current` and `base` into `registry` —
 /// counters "<prefix>report.<field>" for the scalar fields and

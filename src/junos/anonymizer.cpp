@@ -100,9 +100,10 @@ JunosRules::Line* JunosRules::RewriteLine(const config::ConfigFile& file,
         util::Trim(text).substr(0, 2) == std::string_view("/*");
     if (opens || in_block_comment_) {
       const std::size_t close = text.find("*/");
-      report_.total_words += util::SplitWords(text).size();
-      report_.comment_words_removed += util::SplitWords(text).size();
-      report_.CountRule("J.strip-block-comment");
+      const std::size_t words = util::CountWords(text);
+      report_.total_words += words;
+      report_.comment_words_removed += words;
+      report_.CountRule(core::Rule::kJunosStripBlockComment);
       in_block_comment_ = close == std::string_view::npos;
       out_lines.push_back("/* */");
       return nullptr;
@@ -117,7 +118,7 @@ JunosRules::Line* JunosRules::RewriteLine(const config::ConfigFile& file,
 }
 
 void JunosRules::ForceHash(JunosLine& line, std::size_t index,
-                           const char* rule) {
+                           core::Rule rule) {
   if (index >= line.tokens.size()) return;
   Token& token = line.tokens[index];
   const std::string_view original = Unquote(token.text);
@@ -159,9 +160,8 @@ void JunosRules::ProcessLine(JunosLine& line) {
   // Trailing '#' comments.
   if (options_.strip_comments &&
       tokens.back().kind == Token::Kind::kComment) {
-    report_.comment_words_removed +=
-        util::SplitWords(tokens.back().text).size();
-    report_.CountRule("J.strip-hash-comment");
+    report_.comment_words_removed += util::CountWords(tokens.back().text);
+    report_.CountRule(core::Rule::kJunosStripHashComment);
     tokens.pop_back();
     if (tokens.empty()) return;
   }
@@ -197,17 +197,16 @@ void JunosRules::ProcessLine(JunosLine& line) {
     if (options_.strip_comments &&
         (keyword == "description" || keyword == "message") && has_next &&
         tokens[word_at[w + 1]].kind == Token::Kind::kString) {
-      report_.comment_words_removed +=
-          util::SplitWords(Unquote(word(w + 1))).size();
+      report_.comment_words_removed += util::CountWords(Unquote(word(w + 1)));
       tokens[word_at[w + 1]].text = "\"\"";
       handled[word_at[w + 1]] = true;
-      report_.CountRule("J.strip-free-text");
+      report_.CountRule(core::Rule::kJunosStripFreeText);
       continue;
     }
 
     // --- names that must be hashed even if pass-listed ---
     if ((keyword == "host-name" || keyword == "domain-name") && has_next) {
-      ForceHash(line, word_at[w + 1], "J.name-arguments");
+      ForceHash(line, word_at[w + 1], core::Rule::kJunosNameArguments);
       handled[word_at[w + 1]] = true;
       continue;
     }
@@ -217,7 +216,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
         has_next && util::IsAllDigits(word(w + 1))) {
       tokens[word_at[w + 1]].text = arena_.Store(MapAsnText(word(w + 1)));
       handled[word_at[w + 1]] = true;
-      report_.CountRule("J.asn-statement");
+      report_.CountRule(core::Rule::kJunosAsnStatement);
       continue;
     }
 
@@ -237,7 +236,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
         if (result.changed) {
           tokens[word_at[w + 2]].text = Quote(result.pattern, arena_);
           ++report_.aspath_regexps_rewritten;
-          report_.CountRule("J.as-path-regex");
+          report_.CountRule(core::Rule::kJunosAsPathRegex);
         }
       } catch (const regex::ParseError&) {
         // Leave for the leak grep.
@@ -256,7 +255,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
       }
       tokens[word_at[w + 1]].text = Quote(util::Join(mapped, " "), arena_);
       handled[word_at[w + 1]] = true;
-      report_.CountRule("J.as-path-prepend");
+      report_.CountRule(core::Rule::kJunosAsPathPrepend);
       continue;
     }
 
@@ -272,7 +271,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
             if (result.changed) {
               value.text = Quote(result.pattern, arena_);
               ++report_.community_regexps_rewritten;
-              report_.CountRule("J.community-regex");
+              report_.CountRule(core::Rule::kJunosCommunityRegex);
             }
           } catch (const regex::ParseError&) {
           }
@@ -284,7 +283,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
           value.text = arena_.Store(state_->community.Map(*literal).ToString());
           ++report_.communities_mapped;
           handled[word_at[v]] = true;
-          report_.CountRule("J.community-literal");
+          report_.CountRule(core::Rule::kJunosCommunityLiteral);
         }
       }
       continue;
@@ -304,7 +303,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
         if (net::IsSpecial(*address)) {
           handled[i] = true;
           ++report_.addresses_special;
-          report_.CountRule("J.special-passthrough");
+          report_.CountRule(core::Rule::kJunosSpecialPassthrough);
           continue;
         }
         leak_record_.addresses.insert(address->ToString());
@@ -312,7 +311,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
                                   std::to_string(length));
         handled[i] = true;
         ++report_.addresses_mapped;
-        report_.CountRule("J.map-prefixes");
+        report_.CountRule(core::Rule::kJunosMapPrefixes);
         continue;
       }
     }
@@ -320,14 +319,14 @@ void JunosRules::ProcessLine(JunosLine& line) {
       if (net::IsSpecial(*address)) {
         handled[i] = true;
         ++report_.addresses_special;
-        report_.CountRule("J.special-passthrough");
+        report_.CountRule(core::Rule::kJunosSpecialPassthrough);
         continue;
       }
       leak_record_.addresses.insert(address->ToString());
       token.text = arena_.Store(state_->ip.Map(*address).ToString());
       handled[i] = true;
       ++report_.addresses_mapped;
-      report_.CountRule("J.map-addresses");
+      report_.CountRule(core::Rule::kJunosMapAddresses);
     }
   }
 
@@ -354,7 +353,7 @@ void JunosRules::ProcessLine(JunosLine& line) {
     leak_record_.hashed_words.insert(std::string(value));
     HashToken(tokens[i]);
     ++report_.words_hashed;
-    report_.CountRule("J.passlist-hash");
+    report_.CountRule(core::Rule::kJunosPasslistHash);
   }
 }
 

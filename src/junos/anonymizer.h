@@ -48,10 +48,11 @@ passlist::PassList JunosPassList();
 /// The JunOS rule pack driven by core::Engine (see core/engine.h). It
 /// reads the JunOS-applicable subset of core::AnonymizerOptions: salt,
 /// regex_form, strip_comments and extra_pass_list (merged on top of
-/// JunosPassList()); it has no rule toggles. Rule counters carry
-/// globally unique "J." names, which land under "junos.rule.J.*" in a
-/// metrics registry; every other metric carries the "junos." prefix too,
-/// so a mixed IOS/JunOS run shares one registry without collisions.
+/// JunosPassList()); it has no rule toggles. Its rules are the
+/// core::Rule::kJunos* entries, whose counters land under
+/// "junos.rule.J.*" in a metrics registry; every other metric carries the
+/// "junos." prefix too, so a mixed IOS/JunOS run shares one registry
+/// without collisions.
 class JunosRules : public core::EngineBase {
   // The dialect's collectors and pass-list baseline; see
   // core::DialectDescriptor. Tokens come from the JunOS tokenizer, and
@@ -71,7 +72,7 @@ class JunosRules : public core::EngineBase {
       .timing_prefix = "junos.",
       .network_span = "junos-anonymize-network",
       .preload_span = "junos-preload",
-      .preload_rule = nullptr,
+      .preload_rule = std::nullopt,
       .rewrite_metrics = false,
       .pass_list = &BasePassList,
       .collect_addresses = &CollectFileAddresses,
@@ -95,7 +96,7 @@ class JunosRules : public core::EngineBase {
  private:
   void ProcessLine(JunosLine& line);
   /// Force-hashes the word token at `index` (records it when unknown).
-  void ForceHash(JunosLine& line, std::size_t index, const char* rule);
+  void ForceHash(JunosLine& line, std::size_t index, core::Rule rule);
   /// Replaces `token` with its hash token (quoted for kString tokens):
   /// memo hits rewrite in place, misses register the token's text slot
   /// with the batcher and defer the line.

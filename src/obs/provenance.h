@@ -19,7 +19,7 @@ namespace confanon::obs {
 struct ProvenanceEntry {
   std::string file;
   std::uint64_t line = 0;  // zero-based input line number
-  std::string rule;        // stable rule name (core::rules / "J.*")
+  std::string rule;        // stable rule name (core/rules.h)
   std::uint32_t tokens_before = 0;  // word count entering the line's passes
   std::uint32_t tokens_after = 0;   // word count after all passes
 };

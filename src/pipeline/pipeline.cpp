@@ -93,7 +93,8 @@ void CorpusPipeline::PreloadCorpus(
   if (const auto counted = preload.Commit(state, report_);
       counted && hooks_.metrics != nullptr) {
     hooks_.metrics
-        ->CounterNamed(std::string("rule.") + core::rules::kSubnetPreload)
+        ->CounterNamed("rule." +
+                       std::string(core::RuleName(core::Rule::kSubnetPreload)))
         .Add(*counted);
   }
   state.preloaded.store(true, std::memory_order_release);

@@ -49,6 +49,17 @@ std::vector<std::string_view> SplitWords(std::string_view line) {
   return words;
 }
 
+std::size_t CountWords(std::string_view line) {
+  std::size_t count = 0;
+  bool in_word = false;
+  for (const char c : line) {
+    const bool blank = IsBlank(c);
+    if (!blank && !in_word) ++count;
+    in_word = !blank;
+  }
+  return count;
+}
+
 std::vector<std::string_view> Split(std::string_view text, char delimiter) {
   std::vector<std::string_view> fields;
   std::size_t start = 0;

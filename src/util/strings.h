@@ -31,6 +31,8 @@ std::string_view Trim(std::string_view text);
 
 /// Splits on runs of blanks; no empty fields are produced.
 std::vector<std::string_view> SplitWords(std::string_view line);
+/// SplitWords(line).size(), without building the vector.
+std::size_t CountWords(std::string_view line);
 
 /// Splits on a single character delimiter; empty fields are preserved.
 std::vector<std::string_view> Split(std::string_view text, char delimiter);

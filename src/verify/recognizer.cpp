@@ -2,6 +2,7 @@
 
 #include <string_view>
 
+#include "core/rules.h"
 #include "regex/intersect.h"
 
 namespace confanon::verify {
@@ -36,7 +37,7 @@ std::string Concat(std::string_view a, std::string_view b,
 std::vector<Recognizer> BuildRecognizers() {
   std::vector<Recognizer> recognizers;
   recognizers.push_back(
-      {"ipv4-literal", "I1.map-addresses",
+      {"ipv4-literal", std::string(core::RuleName(core::Rule::kMapAddresses)),
        regex::CompileFullMatchDfa(Concat(kOctet, "\\.", kOctet, "\\.",
                                          kOctet, "\\.", kOctet)),
        /*exempt_special_addresses=*/true});
@@ -44,7 +45,8 @@ std::vector<Recognizer> BuildRecognizers() {
                          regex::CompileFullMatchDfa(std::string(kPublicAsn)),
                          false});
   recognizers.push_back(
-      {"community-literal", "A8.community-list-literal",
+      {"community-literal",
+       std::string(core::RuleName(core::Rule::kCommunityListLiteral)),
        regex::CompileFullMatchDfa(Concat(kPublicAsn, ":", kUint16)), false});
   recognizers.push_back(
       {"hash-token", "core::StringHasher output space",

@@ -1,11 +1,13 @@
 #include "verify/verify.h"
 
 #include <chrono>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "audit/canonical.h"
+#include "core/rules.h"
 #include "net/ipv4.h"
 #include "net/special.h"
 #include "regex/intersect.h"
@@ -199,9 +201,12 @@ void AnalyzeReachability(const PolicySpec& spec,
   }
 }
 
+using enum core::Rule;
+using enum Severity;
+
 /// One transform rule's coverage obligation for the taint analysis.
 struct RuleCoverage {
-  const char* rule;
+  core::Rule rule;
   Severity severity;
   const char* value_class;
 };
@@ -209,56 +214,34 @@ struct RuleCoverage {
 /// Every disableable rule other than T1/T2 (which are handled by the
 /// symbol-space closure) mapped to the value class it covers.
 constexpr RuleCoverage kRuleCoverage[] = {
-    {core::rules::kStripBangComments, Severity::kWarning,
-     "operator free text in '!' comments"},
-    {core::rules::kStripFreeText, Severity::kWarning,
-     "free text (descriptions, remarks)"},
-    {core::rules::kStripBanners, Severity::kWarning,
-     "login/motd banner text"},
-    {core::rules::kDialerStrings, Severity::kError,
-     "dialer strings (phone numbers)"},
-    {core::rules::kSnmpStrings, Severity::kError,
-     "SNMP community strings"},
-    {core::rules::kSecrets, Severity::kError,
-     "passwords and secrets"},
-    {core::rules::kNameArguments, Severity::kError,
-     "named-entity arguments (hostnames, map names)"},
-    {core::rules::kRouterBgp, Severity::kError, "router bgp ASN"},
-    {core::rules::kNeighborRemoteAs, Severity::kError,
-     "neighbor remote-as ASN"},
-    {core::rules::kNeighborLocalAs, Severity::kError,
-     "neighbor local-as ASN"},
-    {core::rules::kConfedIdentifier, Severity::kError,
-     "confederation identifier ASN"},
-    {core::rules::kConfedPeers, Severity::kError,
-     "confederation peer ASNs"},
-    {core::rules::kAsPathRegex, Severity::kError,
-     "as-path regexp language"},
-    {core::rules::kAsPathPrepend, Severity::kError,
-     "as-path prepend ASNs"},
-    {core::rules::kCommunityListLiteral, Severity::kError,
-     "community-list literals"},
-    {core::rules::kCommunityListRegex, Severity::kError,
-     "community-list regexp language"},
-    {core::rules::kSetCommunity, Severity::kError,
-     "set community values"},
-    {core::rules::kSetExtcommunity, Severity::kError,
-     "set extcommunity values"},
-    {core::rules::kAsnAudit, Severity::kNote,
-     "residual-ASN audit (detection only)"},
-    {core::rules::kMapAddresses, Severity::kError,
-     "IPv4 address literals"},
-    {core::rules::kSpecialPassthrough, Severity::kNote,
-     "special-address passthrough (masks stay verbatim; disabling only "
-     "maps more)"},
-    {core::rules::kMapPrefixes, Severity::kError, "CIDR prefixes"},
-    {core::rules::kAddressMaskPairs, Severity::kError,
-     "address/mask pairs"},
-    {core::rules::kAddressWildcardPairs, Severity::kError,
-     "address/wildcard pairs"},
-    {core::rules::kPlainAddressArgs, Severity::kError,
-     "plain address arguments"},
-    {core::rules::kSubnetPreload, Severity::kNote,
+    {kStripBangComments, kWarning, "operator free text in '!' comments"},
+    {kStripFreeText, kWarning, "free text (descriptions, remarks)"},
+    {kStripBanners, kWarning, "login/motd banner text"},
+    {kDialerStrings, kError, "dialer strings (phone numbers)"},
+    {kSnmpStrings, kError, "SNMP community strings"},
+    {kSecrets, kError, "passwords and secrets"},
+    {kNameArguments, kError, "named-entity arguments (hostnames, map names)"},
+    {kRouterBgp, kError, "router bgp ASN"},
+    {kNeighborRemoteAs, kError, "neighbor remote-as ASN"},
+    {kNeighborLocalAs, kError, "neighbor local-as ASN"},
+    {kConfedIdentifier, kError, "confederation identifier ASN"},
+    {kConfedPeers, kError, "confederation peer ASNs"},
+    {kAsPathRegex, kError, "as-path regexp language"},
+    {kAsPathPrepend, kError, "as-path prepend ASNs"},
+    {kCommunityListLiteral, kError, "community-list literals"},
+    {kCommunityListRegex, kError, "community-list regexp language"},
+    {kSetCommunity, kError, "set community values"},
+    {kSetExtcommunity, kError, "set extcommunity values"},
+    {kAsnAudit, kNote, "residual-ASN audit (detection only)"},
+    {kMapAddresses, kError, "IPv4 address literals"},
+    {kSpecialPassthrough, kNote,
+     "special-address passthrough (masks stay verbatim; disabling only maps "
+     "more)"},
+    {kMapPrefixes, kError, "CIDR prefixes"},
+    {kAddressMaskPairs, kError, "address/mask pairs"},
+    {kAddressWildcardPairs, kError, "address/wildcard pairs"},
+    {kPlainAddressArgs, kError, "plain address arguments"},
+    {kSubnetPreload, kNote,
      "subnet-address preload (consistency, not secrecy)"},
 };
 
@@ -267,17 +250,16 @@ constexpr RuleCoverage kRuleCoverage[] = {
 void AnalyzeTaint(const DialectPolicy& policy, audit::AuditResult& result) {
   if (policy.disabled_rules.empty()) return;
 
-  std::unordered_set<std::string_view> known;
-  known.insert(core::rules::kSegmentWords);
-  known.insert(core::rules::kPasslistHash);
-  for (const RuleCoverage& coverage : kRuleCoverage) {
-    known.insert(coverage.rule);
-  }
-
   const Anchor rules_anchor{"<rules>", Anchor::kNoLine};
 
+  // Every IOS rule is a toggle; a JunOS rule's name toggles nothing.
+  core::RuleSet disabled;
   for (const std::string& name : policy.disabled_rules) {
-    if (known.contains(name)) continue;
+    const std::optional<core::Rule> rule = core::RuleNamed(name);
+    if (rule && !core::IsJunosRule(*rule)) {
+      disabled.set(core::RuleIndex(*rule));
+      continue;
+    }
     Finding finding;
     finding.rule_id = "VER-007";
     finding.severity = Severity::kWarning;
@@ -294,8 +276,8 @@ void AnalyzeTaint(const DialectPolicy& policy, audit::AuditResult& result) {
   // live. With either disabled, every space is a taint source with no
   // sink.
   const bool words_covered =
-      !policy.disabled_rules.contains(core::rules::kSegmentWords) &&
-      !policy.disabled_rules.contains(core::rules::kPasslistHash);
+      !disabled[core::RuleIndex(kSegmentWords)] &&
+      !disabled[core::RuleIndex(kPasslistHash)];
   if (!words_covered) {
     constexpr audit::SymbolSpace kSpaces[] = {
         audit::SymbolSpace::kAcl,           audit::SymbolSpace::kRouteMap,
@@ -320,12 +302,13 @@ void AnalyzeTaint(const DialectPolicy& policy, audit::AuditResult& result) {
   }
 
   for (const RuleCoverage& coverage : kRuleCoverage) {
-    if (!policy.disabled_rules.contains(coverage.rule)) continue;
+    if (!disabled[core::RuleIndex(coverage.rule)]) continue;
     Finding finding;
     finding.rule_id = "VER-006";
     finding.severity = coverage.severity;
     finding.anchor = rules_anchor;
-    finding.message = Where(policy.dialect) + "rule " + coverage.rule +
+    finding.message = Where(policy.dialect) + "rule " +
+                      std::string(core::RuleName(coverage.rule)) +
                       " is disabled, leaving its value class uncovered: " +
                       coverage.value_class + ".";
     result.findings.push_back(std::move(finding));

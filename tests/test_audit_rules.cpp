@@ -268,6 +268,24 @@ const RuleCase kJunosRefCases[] = {
      {Dangling(12, "interface", "so-0/1.2")}},
     {"BlockCommentHasNoSites", kRefs,
      "/*\npolicy-statement PS {\n*/\n", {}},
+    {"OneLineTermsUseUndefinedNames", kRefs,
+     "policy-options {\n    policy-statement PS {\n        term t1 {\n"
+     "            from prefix-list PLX;\n            from as-path APX;\n"
+     "            from community [ C1 C2 ];\n"
+     "            then community add CAX;\n        }\n    }\n}\n",
+     {Dead(2, "route-map", "PS"), Dangling(4, "prefix-list", "PLX"),
+      Dangling(5, "as-path-list", "APX"), Dangling(6, "community-list", "C1"),
+      Dangling(6, "community-list", "C2"),
+      Dangling(7, "community-list", "CAX")}},
+    {"OneLineTermsUseDefinedNames", kRefs,
+     "policy-options {\n    prefix-list PLD {\n        10.0.0.0/8;\n    }\n"
+     "    as-path APD \"^65000$\";\n    community C1 members 65000:1;\n"
+     "    community C2 members 65000:2;\n    community CAD members 65000:3;\n"
+     "    policy-statement PS {\n        term t1 {\n"
+     "            from prefix-list PLD;\n            from as-path APD;\n"
+     "            from community [ C1 C2 ];\n"
+     "            then community set CAD;\n        }\n    }\n}\n",
+     {Dead(9, "route-map", "PS")}},
 };
 
 INSTANTIATE_TEST_SUITE_P(JunosRefs, AuditRuleTest,

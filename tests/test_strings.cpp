@@ -45,6 +45,14 @@ TEST(Strings, SplitWordsEmpty) {
   EXPECT_TRUE(SplitWords("   \t ").empty());
 }
 
+TEST(Strings, CountWordsMatchesSplitWords) {
+  for (const std::string_view line :
+       {"", "   \t ", "x", "  ip  address\t1.2.3.4   ", "a b\tc",
+        " trailing\r", "\tlead"}) {
+    EXPECT_EQ(CountWords(line), SplitWords(line).size()) << line;
+  }
+}
+
 TEST(Strings, SplitPreservesEmptyFields) {
   const auto fields = Split("a::b:", ':');
   ASSERT_EQ(fields.size(), 4u);

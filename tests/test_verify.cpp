@@ -207,7 +207,7 @@ TEST(VerifyPolicy, CrossDialectConflictReported) {
 
 TEST(VerifyPolicy, DisablingWordHashUncoversEverySymbolSpace) {
   core::AnonymizerOptions options;
-  options.disabled_rules.insert(core::rules::kPasslistHash);
+  options.disabled_rules.emplace(core::RuleName(core::Rule::kPasslistHash));
   const AuditResult result = verify::VerifyEngineOptions(options);
   const auto findings = FindAll(result, "VER-005");
   // Nine audit symbol spaces, IOS only (JunOS has no disable surface).
@@ -219,7 +219,7 @@ TEST(VerifyPolicy, DisablingWordHashUncoversEverySymbolSpace) {
 
 TEST(VerifyPolicy, DisabledTransformRuleMapsToValueClass) {
   core::AnonymizerOptions options;
-  options.disabled_rules.insert(core::rules::kSnmpStrings);
+  options.disabled_rules.emplace(core::RuleName(core::Rule::kSnmpStrings));
   const AuditResult result = verify::VerifyEngineOptions(options);
   const auto findings = FindAll(result, "VER-006");
   ASSERT_EQ(findings.size(), 1u) << result.ToText();
