@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <string>
+
+#include "util/io.h"
+#include "util/rng.h"
 
 namespace confanon::asn {
 namespace {
@@ -83,6 +90,65 @@ TEST(RenderLanguage, MinimizedFormAcceptsSameLanguage) {
   const std::string pattern =
       RenderLanguage(values, RewriteForm::kMinimizedDfa);
   EXPECT_EQ(Language(pattern), values);
+}
+
+/// Seeded ASN languages of the shapes as-path rewriting produces: one
+/// contiguous range, a union of a few short ranges, and a sparse scatter.
+std::vector<std::vector<std::uint32_t>> SeededAsnLanguages() {
+  util::Rng rng(4404);
+  std::vector<std::vector<std::uint32_t>> languages;
+  for (int i = 0; i < 48; ++i) {
+    std::set<std::uint32_t> values;
+    switch (i % 3) {
+      case 0: {
+        const auto lo = static_cast<std::uint32_t>(rng.Between(1, 64000));
+        const auto length = static_cast<std::uint32_t>(rng.Between(2, 300));
+        for (std::uint32_t v = lo; v < lo + length; ++v) values.insert(v);
+        break;
+      }
+      case 1:
+        for (int r = static_cast<int>(rng.Between(2, 5)); r > 0; --r) {
+          const auto lo = static_cast<std::uint32_t>(rng.Between(1, 65000));
+          const auto length = static_cast<std::uint32_t>(rng.Between(1, 40));
+          for (std::uint32_t v = lo; v < lo + length; ++v) values.insert(v);
+        }
+        break;
+      default:
+        while (values.size() < static_cast<std::size_t>(rng.Between(2, 60))) {
+          values.insert(static_cast<std::uint32_t>(rng.Between(1, 65535)));
+        }
+        break;
+    }
+    languages.emplace_back(values.begin(), values.end());
+  }
+  return languages;
+}
+
+// The minimized-DFA form's text depends on the DFA's state numbering, so
+// it is pinned byte for byte: tests/data/regex/render_minimized.txt holds
+// one rendering per seeded language. On a mismatch the actual text is
+// written to <testing::TempDir()>/render_minimized.txt.
+TEST(RenderLanguage, MinimizedFormMatchesGolden) {
+  std::string actual;
+  for (const auto& values : SeededAsnLanguages()) {
+    const std::string pattern =
+        RenderLanguage(values, RewriteForm::kMinimizedDfa);
+    EXPECT_EQ(Language(pattern), values) << pattern;
+    actual += pattern;
+    actual += '\n';
+  }
+  const std::filesystem::path golden =
+      std::filesystem::path(CONFANON_TEST_DATA_DIR) / "regex" /
+      "render_minimized.txt";
+  std::string error;
+  const auto expected = util::ReadFileFully(golden.string(), &error);
+  if (!expected.has_value() || *expected != actual) {
+    std::ofstream(std::filesystem::path(testing::TempDir()) /
+                  "render_minimized.txt")
+        << actual;
+  }
+  ASSERT_TRUE(expected.has_value()) << error;
+  EXPECT_EQ(actual, *expected) << "drift vs " << golden.string();
 }
 
 TEST(FindTopLevelColon, Basics) {
