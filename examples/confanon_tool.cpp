@@ -316,9 +316,12 @@ int main(int argc, char** argv) {
     }
     // The set-level context carries the shared thread budget and hooks;
     // each task's per-network context/session is built inside.
-    core::ServiceOptions set_options = options;
-    const auto set_context =
-        pipeline::MakeServiceContext(std::move(set_options));
+    std::shared_ptr<core::ServiceContext> set_context;
+    {
+      obs::PhaseProfiler::ScopedPhase phase(obs_hooks.profiler, nullptr,
+                                            "startup");
+      set_context = pipeline::MakeServiceContext(options);
+    }
     set_context->install_hooks(obs_hooks);
     const auto results = pipeline::AnonymizeNetworkSet(tasks, *set_context);
 
@@ -424,8 +427,13 @@ int main(int argc, char** argv) {
   // One context + session per invocation (the Session-API spelling of
   // the classic batch run): per-file dialect routing over one shared
   // mapping, `--threads` workers, byte-identical output for any count.
-  const std::shared_ptr<core::ServiceContext> context =
-      pipeline::MakeServiceContext(std::move(options));
+  std::shared_ptr<core::ServiceContext> context;
+  {
+    // Context build, policy verification included.
+    obs::PhaseProfiler::ScopedPhase phase(obs_hooks.profiler, nullptr,
+                                          "startup");
+    context = pipeline::MakeServiceContext(std::move(options));
+  }
   context->install_hooks(obs_hooks);
   pipeline::CorpusPipeline pipeline(context, context->CreateSession());
 

@@ -159,8 +159,12 @@ int main(int argc, char** argv) {
   }
 
   // --- the process-lifetime context and the tenant service over it ---
-  std::shared_ptr<core::ServiceContext> context =
-      pipeline::MakeServiceContext(options);
+  std::shared_ptr<core::ServiceContext> context;
+  {
+    // Context build, policy verification included.
+    obs::PhaseProfiler::ScopedPhase phase(hooks.profiler, nullptr, "startup");
+    context = pipeline::MakeServiceContext(options);
+  }
   // Startup gate: refuse to serve over a provably leaky policy. The
   // verdict was recorded by MakeServiceContext (options.verify_policy).
   const core::PolicyVerdict& verdict = context->policy_verdict();

@@ -39,11 +39,14 @@ std::string_view Quote(std::string_view text, util::Arena& arena) {
 }  // namespace
 
 passlist::PassList JunosPassList() {
-  passlist::PassList list = passlist::PassList::Builtin();
-  for (const char* word : kJunosWords) {
-    list.Add(word);
-  }
-  return list;
+  static const passlist::PassList junos = [] {
+    passlist::PassList list = passlist::PassList::Builtin();
+    for (const char* word : kJunosWords) {
+      list.Add(word);
+    }
+    return list;
+  }();
+  return junos;
 }
 
 void JunosRules::CollectFileAddresses(const config::ConfigFile& file,

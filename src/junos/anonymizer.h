@@ -42,7 +42,8 @@
 
 namespace confanon::junos {
 
-/// The embedded IOS corpus extended with JunOS keywords.
+/// The embedded IOS corpus extended with JunOS keywords: a copy of one
+/// list built on first use.
 passlist::PassList JunosPassList();
 
 /// The JunOS rule pack driven by core::Engine (see core/engine.h). It

@@ -12,11 +12,14 @@ extern const char* const kBuiltinCorpus[];
 extern const std::size_t kBuiltinCorpusSize;
 
 PassList PassList::Builtin() {
-  PassList list;
-  for (std::size_t i = 0; i < kBuiltinCorpusSize; ++i) {
-    list.Add(kBuiltinCorpus[i]);
-  }
-  return list;
+  static const PassList builtin = [] {
+    PassList list;
+    for (std::size_t i = 0; i < kBuiltinCorpusSize; ++i) {
+      list.Add(kBuiltinCorpus[i]);
+    }
+    return list;
+  }();
+  return builtin;
 }
 
 void PassList::Add(std::string_view token) {

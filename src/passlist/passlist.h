@@ -30,7 +30,8 @@ class PassList {
  public:
   PassList() = default;
 
-  /// The embedded IOS keyword + reference-vocabulary corpus.
+  /// The embedded IOS keyword + reference-vocabulary corpus: a copy of
+  /// one list built on first use.
   static PassList Builtin();
 
   /// Adds one token (lowercased). Non-alphabetic characters are permitted

@@ -57,10 +57,12 @@ std::shared_ptr<core::ServiceContext> MakeServiceContext(
   // Static policy verification (src/verify) happens here — the lowest
   // layer that links both dialect engines and thus can model the full
   // cross-dialect policy. The verdict makes CreateSession throw
-  // core::PolicyError on a provably leaky policy.
+  // core::PolicyError on a provably leaky policy. It is memoized per
+  // distinct policy, so contexts that differ only in salt or threads
+  // (AnonymizeNetworkSet's per-network contexts) verify once.
   if (context->options().verify_policy) {
-    context->SetPolicyVerdict(verify::VerdictOf(
-        verify::VerifyEngineOptions(context->options().base)));
+    context->SetPolicyVerdict(verify::VerdictFor(
+        verify::PolicyFromOptions(context->options().base)));
   }
   return context;
 }

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -30,8 +31,9 @@ class Dfa {
   /// True if the DFA accepts exactly `subject` (caller handles framing).
   bool FullMatch(std::string_view subject) const;
 
-  /// Hopcroft-style partition refinement; the result is the unique minimal
-  /// total DFA for the same language.
+  /// The unique minimal total DFA for the same language. Its states are
+  /// the input's language-equivalence blocks, numbered by first occurrence
+  /// over the input state index (the numbering Moore's algorithm yields).
   Dfa Minimize() const;
 
   /// Language equivalence via synchronized product walk.
@@ -61,6 +63,8 @@ class Dfa {
   CharSet ClassChars(int byte_class) const;
 
  private:
+  friend Dfa BuildDfaFromStrings(const std::vector<std::string>& words);
+
   int num_states_ = 0;
   int num_classes_ = 0;
   int start_ = 0;
@@ -68,5 +72,11 @@ class Dfa {
   std::vector<std::int32_t> transitions_;  // num_states x num_classes
   std::vector<bool> accepting_;
 };
+
+/// Builds a total DFA (trie plus dead state) accepting exactly `words`,
+/// byte for byte; an empty list yields the empty language. The tables are
+/// those Dfa::FromNfa builds from the words' Thompson alternation, written
+/// directly as a trie. Used for finite languages: pass-lists and ASN sets.
+Dfa BuildDfaFromStrings(const std::vector<std::string>& words);
 
 }  // namespace confanon::regex

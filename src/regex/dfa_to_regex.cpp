@@ -4,48 +4,7 @@
 #include <cassert>
 #include <map>
 
-#include "regex/nfa.h"
-#include "regex/parser.h"
-
 namespace confanon::regex {
-
-Dfa BuildDfaFromStrings(const std::vector<std::string>& words) {
-  // Build the language as an AST alternation of literal strings and reuse
-  // the NFA/DFA pipeline; subset construction of a trie-shaped NFA yields a
-  // trie-shaped DFA, and callers typically Minimize() afterwards.
-  Ast ast;
-  std::vector<NodeId> branches;
-  branches.reserve(words.size());
-  for (const std::string& word : words) {
-    std::vector<NodeId> chars;
-    chars.reserve(word.size());
-    for (char c : word) {
-      chars.push_back(ast.AddCharSet(CharSet::Single(c)));
-    }
-    if (chars.empty()) {
-      branches.push_back(ast.AddEmpty());
-    } else {
-      branches.push_back(ast.AddConcat(std::move(chars)));
-    }
-  }
-  if (branches.empty()) {
-    // Empty language: a charset that matches nothing is inexpressible in
-    // the AST, so use a repeat-once of an impossible alternation via an
-    // empty-set DFA: build "match empty string" then strip acceptance.
-    ast.set_root(ast.AddEmpty());
-    Nfa nfa = Nfa::Build(ast);
-    Dfa dfa = Dfa::FromNfa(nfa);
-    // Rebuild with no accepting states by minimizing a DFA whose accept
-    // condition we cannot edit; instead construct a one-word language that
-    // uses a sentinel (never produced by callers) and minimize: simplest is
-    // to return the DFA for a sentinel-containing word, whose language over
-    // caller alphabets is empty.
-    return BuildDfaFromStrings({std::string(1, kBeginSentinel)});
-  }
-  ast.set_root(ast.AddAlternate(std::move(branches)));
-  Nfa nfa = Nfa::Build(ast);
-  return Dfa::FromNfa(nfa);
-}
 
 std::string EscapeRegexChar(char c) {
   switch (c) {

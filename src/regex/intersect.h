@@ -40,11 +40,6 @@ std::vector<std::string> EnumerateIntersection(const Dfa& a, const Dfa& b,
                                                std::size_t max_results,
                                                std::size_t max_length = 256);
 
-/// Builds a minimal DFA accepting exactly the given literal strings
-/// (byte-for-byte; no metacharacters). The empty set yields a DFA with
-/// an empty language.
-Dfa LiteralSetDfa(const std::vector<std::string>& literals);
-
 /// Compiles `pattern` (the IOS policy-regex dialect, '_' treated as a
 /// literal) into a full-match DFA over raw, unframed subjects. Patterns
 /// must not use '^'/'$' anchors — full match is implicit. Throws

@@ -40,6 +40,8 @@ struct PolicyEntry {
   std::string text;    // lowercased, as PassList stores it
   std::string origin;  // "<builtin>", "<junos-builtin>", "<extra>", ...
   std::size_t index;   // load position within the whole dialect list
+
+  bool operator==(const PolicyEntry&) const = default;
 };
 
 /// The effective policy of one dialect engine.
@@ -54,11 +56,15 @@ struct DialectPolicy {
   /// Rule names the engine will skip (empty for JunOS, which has no
   /// disable surface).
   std::set<std::string> disabled_rules;
+
+  bool operator==(const DialectPolicy&) const = default;
 };
 
 /// The full cross-dialect policy under verification.
 struct PolicySpec {
   std::vector<DialectPolicy> dialects;
+
+  bool operator==(const PolicySpec&) const = default;
 };
 
 /// Origin labels used for anchors.

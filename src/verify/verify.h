@@ -25,8 +25,13 @@
 // Findings reuse audit::Finding and flow through the same SARIF emitter
 // as the corpus auditor; `confanon_audit --policy` is the CLI surface,
 // and pipeline::MakeServiceContext installs the verdict on the
-// ServiceContext so session creation gates on it.
+// ServiceContext so session creation gates on it. The verdict is a pure
+// function of the PolicySpec, so VerdictFor computes it once per
+// distinct spec per process.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "audit/finding.h"
 #include "core/session.h"
@@ -56,5 +61,20 @@ audit::AuditResult VerifyEngineOptions(const core::AnonymizerOptions& options);
 /// session creation on. first_finding is the most severe finding's
 /// rendered text.
 core::PolicyVerdict VerdictOf(const audit::AuditResult& result);
+
+/// VerdictOf(VerifyPolicy(spec)), memoized process-wide: the first call
+/// for a spec verifies it, later calls with an equal spec (compared in
+/// full, not by hash) return the recorded verdict. Thread-safe;
+/// concurrent first calls for one spec verify it once. The memo grows by
+/// one entry per distinct spec, so it is meant for context policies —
+/// untrusted per-request lists go through VerifyPolicy directly.
+core::PolicyVerdict VerdictFor(const PolicySpec& spec);
+
+/// The memo's size and how many VerdictFor calls it answered.
+struct VerdictMemoStats {
+  std::size_t entries = 0;
+  std::uint64_t hits = 0;
+};
+VerdictMemoStats VerdictMemoSnapshot();
 
 }  // namespace confanon::verify

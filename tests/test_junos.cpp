@@ -15,6 +15,15 @@ namespace {
 
 // --- tokenizer ---
 
+TEST(JunosPassList, CopiesOneListBuiltOnce) {
+  passlist::PassList first = JunosPassList();
+  EXPECT_EQ(JunosPassList().Entries(), first.Entries());
+  first.Add("zephyrix");
+  EXPECT_FALSE(JunosPassList().Contains("zephyrix"));
+  // The JunOS list extends the builtin corpus, which stays unchanged.
+  EXPECT_GT(JunosPassList().Size(), passlist::PassList::Builtin().Size());
+}
+
 TEST(JunosTokenizer, SplitsPunctuation) {
   const JunosLine line = TokenizeJunosLine("    peer-as 701;");
   ASSERT_EQ(line.tokens.size(), 3u);

@@ -62,6 +62,15 @@ TEST(PassList, AddAndMerge) {
   EXPECT_EQ(a.Size(), 2u);
 }
 
+TEST(PassList, BuiltinCopiesOneListBuiltOnce) {
+  PassList first = PassList::Builtin();
+  EXPECT_EQ(PassList::Builtin().Entries(), first.Entries());
+  // Each call hands out its own copy: editing one leaves the next intact.
+  first.Add("zephyrix");
+  EXPECT_FALSE(PassList::Builtin().Contains("zephyrix"));
+  EXPECT_EQ(PassList::Builtin().Entries().size() + 1, first.Entries().size());
+}
+
 TEST(PassList, TruncatedIsDeterministicSubset) {
   const PassList full = PassList::Builtin();
   const PassList half = full.Truncated(0.5, 42);
